@@ -6,11 +6,12 @@ extremal constructions, an exhaustive isomorphism-free search oracle, and a
 registry of executable checks for the claims those pieces implement.
 """
 
-from .graphs import (Graph, MAX_VERTICES, are_isomorphic, automorphism_count,
-                     canonical_form, canonical_graph, complete,
-                     complete_bipartite, copies, cycle, delete_vertex,
-                     disjoint_union, empty_graph, enumerate_graphs,
-                     from_edges, is_connected, join, relabel, turan)
+from .graphs import (Graph, MAX_VERTICES, VerificationError, are_isomorphic,
+                     automorphism_count, canonical_form, canonical_graph,
+                     complete, complete_bipartite, copies, cycle,
+                     delete_vertex, disjoint_union, empty_graph,
+                     enumerate_graphs, from_edges, is_connected, join, relabel,
+                     turan)
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .gspec import GraphSpec, SpecError, build, parse_spec, parse_spec_list
 from .counting import (contains, count_copies, count_copies_meeting,

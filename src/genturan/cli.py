@@ -19,8 +19,8 @@ from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .graphs import Graph, canonical_graph, enumerate_graphs
 from .gspec import SpecError, parse_spec, parse_spec_list
 from .packing import canonical_partition, max_disjoint_packing
-from .search import (Objective, SearchProblem, brute_force_ex, merge,
-                     result_line, shard)
+from .search import (DEFAULT_WITNESS_CAP, Objective, SearchProblem,
+                     brute_force_ex, merge, result_line, shard)
 from .verify import (FAIL, VerifyConfig, emit_report, registry_ids,
                      run_all, run_check)
 
@@ -64,8 +64,11 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"bad n-range {text!r}; expected a..b") from err
 
 
+CONFIG_KEYS = ("budget-seconds", "max-explored", "witness-cap", "workers")
+
+
 def _load_config(path: str | None) -> dict:
-    """Plain key=value file; '#' starts a comment."""
+    """Plain key=value file of CONFIG_KEYS settings; '#' starts a comment."""
     if not path:
         return {}
     out: dict[str, str] = {}
@@ -77,7 +80,11 @@ def _load_config(path: str | None) -> dict:
             if "=" not in line:
                 raise UsageError(f"bad config line {raw.rstrip()!r}")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r} in {path}; "
+                                 f"known: {', '.join(CONFIG_KEYS)}")
+            out[key] = value.strip()
     return out
 
 
@@ -185,8 +192,6 @@ def _build_objective(args) -> Objective:
 
 def _cmd_search(args) -> int:
     forbidden = tuple(_read_family(args.forbid)) if args.forbid else ()
-    if not forbidden and args.objective != "copies":
-        pass  # unconstrained maxima are legal, if rarely interesting
     problem = SearchProblem(args.n, forbidden, _build_objective(args))
     kwargs = dict(witness_cap=args.witness_cap,
                   budget_seconds=args.budget_seconds,
@@ -204,9 +209,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     forbidden = tuple(_read_family(args.forbid)) if args.forbid else ()
-    prune = (lambda g: is_family_free(g, forbidden)) if forbidden else None
     count = 0
-    for g in enumerate_graphs(args.n, prune):
+    for g in enumerate_graphs(args.n, forbidden):
         count += 1
         if not args.count_only:
             print(encode_graph6(canonical_graph(g) if args.canonical else g))
@@ -224,8 +228,8 @@ def _cmd_verify(args) -> int:
     if max_explored is None and "max-explored" in file_cfg:
         max_explored = int(file_cfg["max-explored"])
     witness_cap = args.witness_cap
-    if "witness-cap" in file_cfg and args.witness_cap == 16:
-        witness_cap = int(file_cfg["witness-cap"])
+    if witness_cap is None:
+        witness_cap = int(file_cfg.get("witness-cap", DEFAULT_WITNESS_CAP))
     cfg = VerifyConfig(witness_cap=witness_cap, budget_seconds=budget,
                        max_explored=max_explored)
     n_range = _parse_range(args.n_range) if args.n_range else None
@@ -315,10 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", metavar="A..B")
     p.add_argument("--csv", help="also write the CSV report here")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--witness-cap", type=int, default=16)
+    p.add_argument("--witness-cap", type=int,
+                   help=f"default: the config file's, else {DEFAULT_WITNESS_CAP}")
     p.add_argument("--budget-seconds", type=float)
     p.add_argument("--max-explored", type=int)
-    p.add_argument("--config", help="plain key=value config file")
+    p.add_argument("--config", help="plain key=value config file; keys: "
+                                    + ", ".join(CONFIG_KEYS))
     p.add_argument("--workers", type=int,
                    help="run checks in this many worker processes (default 1)")
     p.set_defaults(fn=_cmd_verify)

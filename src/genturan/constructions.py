@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from . import graphs
-from .graphs import Graph, MAX_VERTICES
+from .graphs import Graph, MAX_VERTICES, VerificationError
 
 
 def universal_join(k: int, g: Graph) -> Graph:
@@ -149,7 +149,8 @@ def prop61_value(n: int, l: int) -> int:
     for i in range(l):
         prod *= (n - 2 * i) ** 2 // 4
     q, r = divmod(prod, factorial(l))
-    assert r == 0, f"matching-count product {prod} not divisible by {l}!"
+    if r:
+        raise VerificationError(f"matching-count product {prod} not divisible by {l}!")
     return q
 
 

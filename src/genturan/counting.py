@@ -3,7 +3,7 @@
 A copy of a pattern H in a host G is a subgraph of G isomorphic to H (not
 necessarily induced).  The copy count is the number of injective
 edge-preserving maps V(H) -> V(G) divided by |Aut(H)|; the division is always
-exact and is asserted.  Induced counting, the family of all induced subgraphs
+exact and is checked.  Induced counting, the family of all induced subgraphs
 of a pattern, and freeness tests live here too.
 
 The core is a bitmask backtracker: pattern vertices are mapped in a
@@ -16,15 +16,24 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, automorphism_count, canonical_cert, empty_graph
+from .graphs import (Graph, VerificationError, _rooted_cert, automorphism_count,
+                     canonical_cert, empty_graph)
 
 
 @lru_cache(maxsize=1024)
-def _pattern_order(h: Graph) -> tuple[int, ...]:
-    """Mapping order: components one after another, greedy max back-degree."""
+def _pattern_plan(h: Graph, first: int | None = None
+                  ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Mapping order of h's vertices and, per depth, the earlier depths
+    adjacent to the vertex mapped there.
+
+    Components are mapped one after another, each next vertex the one with
+    the most already-mapped neighbors; `first` forces the first vertex."""
     n = h.n
     placed = 0
     order: list[int] = []
+    if first is not None:
+        order.append(first)
+        placed = 1 << first
     while len(order) < n:
         best = -1
         best_key = (-1, -1, n)
@@ -38,7 +47,30 @@ def _pattern_order(h: Graph) -> tuple[int, ...]:
                 best = v
         order.append(best)
         placed |= 1 << best
-    return tuple(order)
+    pos_of = {v: i for i, v in enumerate(order)}
+    backs = tuple(tuple(pos_of[u] for u in range(n) if h.adj[v] >> u & 1 and pos_of[u] < i)
+                  for i, v in enumerate(order))
+    return tuple(order), backs
+
+
+@lru_cache(maxsize=1024)
+def _orbit_representatives(h: Graph) -> tuple[int, ...]:
+    """One vertex of each orbit of Aut(h): the plans that pin one of them to
+    an anchor vertex find every copy through that anchor."""
+    reps: list[int] = []
+    seen: set[tuple[int, ...]] = set()
+    for v in range(h.n):
+        cert = _rooted_cert(h.adj, h.n, v)
+        if cert not in seen:
+            seen.add(cert)
+            reps.append(v)
+    return tuple(reps)
+
+
+def _anchored_plans(h: Graph) -> list[tuple[tuple[int, ...], ...]]:
+    """The `backs` of the plans that find every copy of h through an anchor
+    vertex: one plan per orbit representative, mapped first."""
+    return [_pattern_plan(h, p)[1] for p in _orbit_representatives(h)]
 
 
 def count_injections(g: Graph, h: Graph) -> int:
@@ -47,28 +79,23 @@ def count_injections(g: Graph, h: Graph) -> int:
         return 0
     if h.n == 0:
         return 1
-    order = _pattern_order(h)
-    return _inject(g, h, order, limit=None)
+    return _inject(g, _pattern_plan(h)[1], limit=None)
 
 
-def _inject(g: Graph, h: Graph, order: tuple[int, ...], limit: int | None,
-            meet_mask: int = 0, meet_target: int = -1) -> int:
-    """Backtracking count of injective edge-preserving maps.
+def _inject(g: Graph, backs: tuple[tuple[int, ...], ...], limit: int | None,
+            meet_mask: int = 0, meet_target: int = -1,
+            anchor: int | None = None) -> int:
+    """Backtracking count of injective edge-preserving maps of a pattern
+    whose plan (`_pattern_plan`) has the given `backs`.
 
     With `limit` set the search stops as soon as that many maps are found.
     With `meet_target >= 0` only maps whose image meets `meet_mask` in exactly
-    that many vertices are counted.
+    that many vertices are counted.  With `anchor` set the plan's first
+    pattern vertex is pinned to that host vertex.
     """
     gadj = g.adj
-    hadj = h.adj
-    hn = h.n
+    hn = len(backs)
     full = (1 << g.n) - 1
-    # earlier mapped neighbors of each pattern vertex, as positions in `order`
-    pos_of = {v: i for i, v in enumerate(order)}
-    backs: list[list[int]] = []
-    for i, v in enumerate(order):
-        backs.append([pos_of[u] for u in range(hn) if hadj[v] >> u & 1 and pos_of[u] < i])
-
     images = [0] * hn
     count = 0
 
@@ -96,18 +123,28 @@ def _inject(g: Graph, h: Graph, order: tuple[int, ...], limit: int | None,
                 return True
         return False
 
-    rec(0, 0, 0)
+    if anchor is None:
+        rec(0, 0, 0)
+    else:
+        images[0] = anchor
+        rec(1, 1 << anchor, meet_mask >> anchor & 1)
     return count
+
+
+def _per_copy(maps: int, h: Graph) -> int:
+    """Copies from a count of maps of h: each copy is hit |Aut(h)| times."""
+    aut = automorphism_count(h)
+    copies, rest = divmod(maps, aut)
+    if rest:
+        raise VerificationError(f"map count {maps} not divisible by |Aut| = {aut}")
+    return copies
 
 
 def count_copies(g: Graph, h: Graph) -> int:
     """Number of subgraphs of g isomorphic to h."""
     if h.n < 1:
         raise ValueError("pattern needs at least one vertex")
-    total = count_injections(g, h)
-    aut = automorphism_count(h)
-    assert total % aut == 0, f"injection count {total} not divisible by |Aut|={aut}"
-    return total // aut
+    return _per_copy(count_injections(g, h), h)
 
 
 def count_copies_meeting(g: Graph, h: Graph, meet: int, exactly: int) -> int:
@@ -124,11 +161,9 @@ def count_copies_meeting(g: Graph, h: Graph, meet: int, exactly: int) -> int:
         return 0
     if h.n > g.n:
         return 0
-    order = _pattern_order(h)
-    total = _inject(g, h, order, limit=None, meet_mask=meet, meet_target=exactly)
-    aut = automorphism_count(h)
-    assert total % aut == 0
-    return total // aut
+    total = _inject(g, _pattern_plan(h)[1], limit=None, meet_mask=meet,
+                    meet_target=exactly)
+    return _per_copy(total, h)
 
 
 def contains(g: Graph, f: Graph) -> bool:
@@ -137,8 +172,7 @@ def contains(g: Graph, f: Graph) -> bool:
         return False
     if f.n == 0:
         return True
-    order = _pattern_order(f)
-    return _inject(g, f, order, limit=1) > 0
+    return _inject(g, _pattern_plan(f)[1], limit=1) > 0
 
 
 def is_free(g: Graph, f: Graph) -> bool:
@@ -155,7 +189,7 @@ def count_induced_copies(g: Graph, h: Graph) -> int:
         raise ValueError("pattern needs at least one vertex")
     if h.n > g.n:
         return 0
-    order = _pattern_order(h)
+    order = _pattern_plan(h)[0]
     gadj = g.adj
     hadj = h.adj
     hn = h.n
@@ -186,9 +220,7 @@ def count_induced_copies(g: Graph, h: Graph) -> int:
             rec(depth + 1, used | (1 << w))
 
     rec(0, 0)
-    aut = automorphism_count(h)
-    assert count % aut == 0
-    return count // aut
+    return _per_copy(count, h)
 
 
 def induced_family(h: Graph) -> list[Graph]:

@@ -13,9 +13,16 @@ queries needed by the isomorphism-free enumerator.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
+
+
+class VerificationError(RuntimeError):
+    """A computed result failed the package's own consistency check.
+
+    Raised, never asserted, so the check also runs under `python -O`; it
+    signals a defect in the package, not bad input."""
 
 
 class Graph:
@@ -116,21 +123,28 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def component_masks(g: Graph) -> list[int]:
+    """Vertex sets (bitmasks) of the connected components, by lowest vertex."""
+    out = []
+    left = (1 << g.n) - 1
+    while left:
+        seen = frontier = left & -left
+        while frontier:
+            grow = 0
+            while frontier:
+                v = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                grow |= g.adj[v]
+            frontier = grow & ~seen
+            seen |= frontier
+        out.append(seen)
+        left &= ~seen
+    return out
+
+
 def is_connected(g: Graph) -> bool:
     """Whether g has a single connected component (vacuously true below 2)."""
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            grow |= g.adj[v]
-        frontier = grow & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return len(component_masks(g)) <= 1
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -349,20 +363,20 @@ def _leaf_cert(adj: Sequence[int], order: list[int]) -> tuple[int, ...]:
 
 
 def _canon_search(adj: Sequence[int], n: int,
-                  init_cells: list[list[int]] | None = None) -> _CanonResult:
+                  cells: list[list[int]] | None = None) -> _CanonResult:
     """Minimum-certificate canonical labeling with automorphism pruning.
 
-    Branches on the first smallest non-singleton cell; siblings equivalent
-    under an already-discovered automorphism fixing the individualized prefix
-    are skipped.  Discovered automorphisms are returned (they are genuine
+    `cells` is the equitable ordered partition to start from, as `_refine`
+    returns it; by default the unit partition is refined.  Branches on the
+    first smallest non-singleton cell; siblings equivalent under an
+    already-discovered automorphism fixing the individualized prefix are
+    skipped.  Discovered automorphisms are returned (they are genuine
     automorphisms, though not guaranteed to generate the full group).
     """
     if n == 0:
         return _CanonResult((), [], [])
-    if init_cells is None:
+    if cells is None:
         cells = _refine(adj, [list(range(n))])
-    else:
-        cells = _refine(adj, [list(c) for c in init_cells])
 
     best_cert: tuple[int, ...] | None = None
     best_order: list[int] | None = None
@@ -408,7 +422,8 @@ def _canon_search(adj: Sequence[int], n: int,
             fixed.pop()
 
     search(cells, [])
-    assert best_cert is not None and best_order is not None
+    if best_cert is None or best_order is None:
+        raise VerificationError("canonical search reached no leaf")
     return _CanonResult(best_cert, best_order, gens)
 
 
@@ -520,7 +535,7 @@ def _rooted_cert(adj: Sequence[int], n: int, root: int) -> tuple[int, ...]:
     """
     rest = [u for u in range(n) if u != root]
     cells: list[list[int]] = ([rest, [root]] if rest else [[root]])
-    return _canon_search(adj, n, init_cells=cells).cert
+    return _canon_search(adj, n, _refine(adj, cells)).cert
 
 
 def same_orbit(g: Graph, u: int, v: int) -> bool:
@@ -536,14 +551,15 @@ def _accept_child(adj: tuple[int, ...], n: int) -> tuple[int, ...] | None:
     The new vertex is n-1 by construction.  Accept when n-1 lies in the
     designated deletion orbit: the orbit of the vertex occupying the last
     canonical position.  Returns the canonical certificate when accepted
-    (the caller dedupes siblings with it), else None.
+    (the caller dedupes siblings with it), else None.  The equitable
+    partition refined here is the one the canonical search starts from.
     """
     cells = _refine(adj, [list(range(n))])
     last = cells[-1]
     new = n - 1
     if new not in last:
         return None
-    res = _canon_search(adj, n, init_cells=cells)
+    res = _canon_search(adj, n, cells)
     if len(last) == 1:
         return res.cert
     w = res.order[-1]
@@ -567,27 +583,30 @@ def _accept_child(adj: tuple[int, ...], n: int) -> tuple[int, ...] | None:
     return None
 
 
-def enumerate_graphs(n: int, prune: Callable[[Graph], bool] | None = None,
+def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
                      _roots: Sequence[Graph] | None = None,
                      _root_level: int = 1) -> Iterator[Graph]:
-    """Yield one representative per isomorphism class of n-vertex graphs.
+    """Yield one representative per isomorphism class of n-vertex graphs
+    with no subgraph copy of any member of `forbidden`.
 
     Canonical augmentation: each graph is grown by one vertex at a time and a
     child is kept only when the new vertex sits in the canonical deletion
     orbit, so every class appears exactly once with no global dedupe table.
 
-    `prune` is a hereditary keep-predicate: when it returns False for a graph
-    the entire branch above it is cut.  This is sound for subgraph-freeness
-    because deleting vertices never creates a forbidden subgraph.
+    Freeness is hereditary, so only family-free graphs are extended, and a
+    child is tested before its canonical test, incrementally: it can contain
+    a member only through its new vertex (see `packing.FreenessPrune`).
 
     `_roots`/`_root_level` restart enumeration from mid-tree graphs; shards
     of an extremal search use this to split the tree deterministically.
     """
     if n < 0:
         raise ValueError("negative vertex count")
+    from .packing import FreenessPrune  # packing builds on this module
+    prune = FreenessPrune(forbidden, n)
     if n == 0:
         g = empty_graph(0)
-        if prune is None or prune(g):
+        if prune.root_masks(g) is not None:
             yield g
         return
     if _roots is None:
@@ -597,31 +616,37 @@ def enumerate_graphs(n: int, prune: Callable[[Graph], bool] | None = None,
         start = list(_roots)
         level = _root_level
     for g in start:
-        if prune is not None and not prune(g):
+        masks = prune.root_masks(g)
+        if masks is None:
             continue
         if level == n:
             yield g
         else:
-            yield from _descend(g, level, n, prune)
+            yield from _descend(g, level, n, prune, masks)
 
 
-def _descend(g: Graph, level: int, n: int,
-             prune: Callable[[Graph], bool] | None) -> Iterator[Graph]:
-    for child in _children(g):
-        if prune is not None and not prune(child):
-            continue
+def _descend(g: Graph, level: int, n: int, prune,
+             masks: tuple[list[int], ...]) -> Iterator[Graph]:
+    for child in _children(g, prune, masks):
         if level + 1 == n:
             yield child
         else:
-            yield from _descend(child, level + 1, n, prune)
+            yield from _descend(child, level + 1, n, prune,
+                                prune.extend(child, masks))
 
 
-def _children(g: Graph) -> Iterator[Graph]:
-    """Accepted one-vertex extensions of g, one per child isomorphism class."""
+def _children(g: Graph, prune, masks: tuple[list[int], ...]) -> Iterator[Graph]:
+    """Accepted family-free one-vertex extensions of g, one per child
+    isomorphism class.
+
+    Candidates run through the cheap filters first: the degree filter, then
+    the incremental freeness test of `prune` given the parent's copy `masks`,
+    and only then the canonical-deletion test."""
     m = g.n
     adj = g.adj
     degs = [row.bit_count() for row in adj]
     n = m + 1
+    free = prune.free if prune.members else None
     seen_certs: set[tuple[int, ...]] = set()
     for s in range(1 << m):
         size = s.bit_count()
@@ -638,9 +663,11 @@ def _children(g: Graph) -> Iterator[Graph]:
         for v in range(m):
             child_adj.append(adj[v] | ((s >> v & 1) << m))
         child_adj.append(s)
-        child_adj = tuple(child_adj)
-        cert = _accept_child(child_adj, n)
+        child = Graph._make(n, tuple(child_adj))
+        if free is not None and not free(child, masks):
+            continue
+        cert = _accept_child(child.adj, n)
         if cert is None or cert in seen_certs:
             continue
         seen_certs.add(cert)
-        yield Graph._make(n, child_adj)
+        yield child

@@ -5,15 +5,16 @@ vertex sets, each spanning a copy of F.  The exact maximum is found by branch
 and bound over the hypergraph of copy vertex sets, seeded with a greedy lower
 bound.  The partition built from a maximum packing puts the packed vertices
 on one side (L) and the rest (R); the R-induced subgraph is always F-free,
-which is asserted.
+which is checked.  The enumerator's incremental freeness test lives here too,
+since it packs component copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits
-from .counting import _pattern_order, is_free
+from .graphs import Graph, VerificationError, _bits, canonical_cert, component_masks
+from .counting import _anchored_plans, _inject, _pattern_plan, is_family_free, is_free
 
 
 @dataclass(frozen=True)
@@ -43,23 +44,20 @@ class CanonicalPartition:
     packing: Packing
 
 
-def copy_vertex_sets(g: Graph, f: Graph) -> list[int]:
-    """Distinct vertex sets (as bitmasks, ascending) spanning a copy of f in g."""
+def copy_vertex_sets(g: Graph, f: Graph, anchor: int | None = None) -> list[int]:
+    """Distinct vertex sets (as bitmasks, ascending) spanning a copy of f in g;
+    with `anchor` set, only those that hold that vertex."""
     if f.n < 1:
         raise ValueError("pattern needs at least one vertex")
     if f.n > g.n:
         return []
-    order = _pattern_order(f)
     gadj = g.adj
-    fadj = f.adj
     fn = f.n
     full = (1 << g.n) - 1
-    pos_of = {v: i for i, v in enumerate(order)}
-    backs = [[pos_of[u] for u in range(fn) if fadj[v] >> u & 1 and pos_of[u] < i]
-             for i, v in enumerate(order)]
     images = [0] * fn
     found: set[int] = set()
 
+    # `backs` is the plan being run, bound below.
     def rec(depth: int, used: int) -> None:
         if depth == fn:
             found.add(used)
@@ -75,7 +73,13 @@ def copy_vertex_sets(g: Graph, f: Graph) -> list[int]:
             images[depth] = w
             rec(depth + 1, used | (1 << w))
 
-    rec(0, 0)
+    if anchor is None:
+        backs = _pattern_plan(f)[1]
+        rec(0, 0)
+    else:
+        images[0] = anchor
+        for backs in _anchored_plans(f):
+            rec(1, 1 << anchor)
     return sorted(found)
 
 
@@ -168,7 +172,8 @@ def max_disjoint_packing(g: Graph, f: Graph) -> Packing:
             chosen.append(m)
             avail &= ~m
             need -= 1
-    assert need == 0, "lexicographic reconstruction lost the optimum"
+    if need:
+        raise VerificationError("lexicographic reconstruction lost the optimum")
     return Packing(tuple(tuple(_bits(m)) for m in chosen))
 
 
@@ -197,10 +202,116 @@ def is_kF_free(g: Graph, k: int, f: Graph) -> bool:
 
 def canonical_partition(g: Graph, f: Graph) -> CanonicalPartition:
     """Partition of V(g) into the support L of a maximum f-packing and the
-    rest R.  The subgraph induced by R is f-free (asserted)."""
+    rest R.  The subgraph induced by R is f-free (checked)."""
     packing = max_disjoint_packing(g, f)
     support = packing.support()
     L = tuple(_bits(support))
     R = tuple(v for v in range(g.n) if not support >> v & 1)
-    assert is_free(g.induced(R), f), "remainder side contains the pattern"
+    if not is_free(g.induced(R), f):
+        raise VerificationError("remainder side contains the pattern")
     return CanonicalPartition(L, R, packing)
+
+
+class FreenessPrune:
+    """Incremental freeness test for the enumerator's one-vertex extensions.
+
+    The enumerator extends only family-free graphs, so a child whose new
+    vertex is a = n-1 contains a forbidden member F only through a:
+
+    * F connected: a copy of F through a, found by an anchored containment
+      search that stops at the first hit;
+    * F = F1 u ... u Fr disconnected (such as kF): a copy M of some
+      component through a, plus pairwise disjoint copies of the other
+      components inside the parent that avoid M.  The parent's copies are
+      the vertex-set masks the enumeration carries down its current path,
+      one list per component type, extended for each child it descends into.
+
+    Members with more vertices than the enumerated n cannot occur and are
+    dropped.
+    """
+
+    def __init__(self, forbidden, n: int):
+        self.members = [f for f in forbidden if f.n <= n]
+        # Per connected member: its vertex count and anchored plans.
+        self.connected: list[tuple[int, list[tuple[tuple[int, ...], ...]]]] = []
+        self.types: list[Graph] = []
+        # Per disconnected member: its vertex count and, for each component
+        # type that can hold a, the (type, count) copies the parent must hold.
+        self.unions: list[tuple[int, list[tuple[int, list[tuple[int, int]]]]]] = []
+        type_index: dict[tuple[int, ...], int] = {}
+        for f in self.members:
+            parts = component_masks(f)
+            if len(parts) <= 1:
+                self.connected.append((f.n, _anchored_plans(f)))
+                continue
+            counts: dict[int, int] = {}
+            for part in parts:
+                comp = f.induced_mask(part)
+                key = canonical_cert(comp)
+                if key not in type_index:
+                    type_index[key] = len(self.types)
+                    self.types.append(comp)
+                t = type_index[key]
+                counts[t] = counts.get(t, 0) + 1
+            anchors = []
+            for t in counts:
+                rest = [(u, c - (u == t)) for u, c in counts.items() if c - (u == t)]
+                anchors.append((t, rest))
+            self.unions.append((f.n, anchors))
+
+    def root_masks(self, g: Graph) -> tuple[list[int], ...] | None:
+        """The copy masks of a graph the enumeration starts from, or None
+        when it is not family-free (checked in full)."""
+        if not is_family_free(g, self.members):
+            return None
+        return tuple(copy_vertex_sets(g, t) for t in self.types)
+
+    def free(self, child: Graph, masks: tuple[list[int], ...]) -> bool:
+        """Whether `child` is family-free, given that its parent (the child
+        minus its last vertex) is, with the parent's copy `masks`."""
+        a = child.n - 1
+        for size, plans in self.connected:
+            if size > child.n:
+                continue
+            for backs in plans:
+                if _inject(child, backs, 1, anchor=a):
+                    return False
+        parent = (1 << a) - 1
+        for size, anchors in self.unions:
+            if size > child.n:
+                continue
+            for t, rest in anchors:
+                if any(len(masks[u]) < c for u, c in rest):
+                    continue
+                demands = [(masks[u], c, self.types[u].n) for u, c in rest]
+                for m in copy_vertex_sets(child, self.types[t], anchor=a):
+                    if _packs(demands, parent & ~m):
+                        return False
+        return True
+
+    def extend(self, child: Graph, masks: tuple[list[int], ...]) -> tuple[list[int], ...]:
+        """The child's copy masks: the parent's plus the copies through the
+        child's new vertex (these sort after every parent mask)."""
+        a = child.n - 1
+        return tuple(old + copy_vertex_sets(child, t, anchor=a)
+                     for old, t in zip(masks, self.types))
+
+
+def _packs(demands: list[tuple[list[int], int, int]], avail: int) -> bool:
+    """Whether pairwise disjoint masks inside `avail` meet every demand
+    (masks, count, copy size): `count` masks taken from each demand's list."""
+    masks, want, size = demands[0]
+    if len(demands) == 1:
+        return _packable(masks, avail, size, want)
+    rest = demands[1:]
+
+    def pick(start: int, want: int, avail: int) -> bool:
+        if want == 0:
+            return _packs(rest, avail)
+        for i in range(start, len(masks)):
+            m = masks[i]
+            if m & ~avail == 0 and pick(i + 1, want - 1, avail & ~m):
+                return True
+        return False
+
+    return pick(0, want, avail)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from .graphs import Graph, canonical_cert, canonical_graph, enumerate_graphs
+from .graphs import (Graph, VerificationError, canonical_cert, canonical_graph,
+                     enumerate_graphs)
 from .graph6 import decode_graph6, encode_graph6
 from .counting import count_copies, count_induced_family, is_family_free
 
@@ -155,23 +156,20 @@ def brute_force_ex(problem: SearchProblem, *,
             return hit
 
     forbidden = problem.forbidden
-    prune = (lambda g: is_family_free(g, forbidden)) if forbidden else None
     host_key = None
     collected: list[Graph] | None = None
     if problem.roots is not None:
         roots = [decode_graph6(r) for r in problem.roots]
-        stream = enumerate_graphs(problem.n, prune, _roots=roots,
+        stream = enumerate_graphs(problem.n, forbidden, _roots=roots,
                                   _root_level=problem.root_level)
     else:
         host_key = (problem.n, _family_key(problem.forbidden))
         cached_hosts = _host_cache.get(host_key)
         if cached_hosts is not None:
             stream = iter(cached_hosts)
-        elif cacheable:
-            collected = []
-            stream = enumerate_graphs(problem.n, prune)
         else:
-            stream = enumerate_graphs(problem.n, prune)
+            collected = [] if cacheable else None
+            stream = enumerate_graphs(problem.n, forbidden)
 
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     best: int | None = None
@@ -202,12 +200,15 @@ def brute_force_ex(problem: SearchProblem, *,
                 witnesses.append(w)
                 witnesses.sort()
                 del witnesses[witness_cap:]
-    # Post-search re-verification: every witness must decode to a family-free
-    # graph attaining the reported value.
+    # Post-search re-verification, independent of the enumerator's
+    # incremental prune: every witness must decode to a family-free graph
+    # attaining the reported value.
     for w in witnesses:
         wg = decode_graph6(w)
-        assert is_family_free(wg, forbidden), "witness violates freeness"
-        assert objective.evaluate(wg) == best, "witness misses the maximum"
+        if not is_family_free(wg, forbidden):
+            raise VerificationError(f"witness {w} violates freeness")
+        if objective.evaluate(wg) != best:
+            raise VerificationError(f"witness {w} misses the maximum {best}")
     result = ExtremalResult(problem.n, best, tuple(sorted(witnesses)),
                             num_extremal, explored, exhaustive)
     if cacheable and exhaustive:
@@ -248,9 +249,7 @@ def shard(problem: SearchProblem, parts: int, depth: int | None = None) -> list[
         depth = max(1, min(problem.n - 1, 5))
     if not 1 <= depth < max(problem.n, 2):
         raise ValueError(f"shard depth {depth} outside 1..{problem.n - 1}")
-    forbidden = problem.forbidden
-    prune = (lambda g: is_family_free(g, forbidden)) if forbidden else None
-    roots = [encode_graph6(g) for g in enumerate_graphs(depth, prune)]
+    roots = [encode_graph6(g) for g in enumerate_graphs(depth, problem.forbidden)]
     buckets: list[list[str]] = [[] for _ in range(parts)]
     for i, r in enumerate(roots):
         buckets[i % parts].append(r)

@@ -749,12 +749,20 @@ def check_summary(check_id: str) -> str:
 def run_check(check_id: str, params: dict | None = None,
               n_range: tuple[int, int] | None = None,
               config: VerifyConfig | None = None) -> TheoremCheck:
-    """Run one registered check; unknown ids and hypothesis violations raise."""
+    """Run one registered check; unknown ids, unknown parameters and
+    hypothesis violations raise."""
     resolved = _ALIASES.get(check_id, check_id)
     if resolved not in _REGISTRY:
         raise UnknownCheckError(f"unknown check id {check_id!r}; "
                                 f"known: {', '.join(registry_ids())}")
     cdef = _REGISTRY[resolved]
+    # A runner reads the parameters of every check registered with it.
+    known = {key for d in _REGISTRY.values() if d.runner is cdef.runner
+             for key in d.default_params}
+    unknown = sorted(set(params or ()) - known)
+    if unknown:
+        raise ValueError(f"unknown parameter {', '.join(unknown)} for check "
+                         f"{resolved!r}; known: {', '.join(sorted(known))}")
     merged = dict(cdef.default_params)
     if params:
         merged.update(params)

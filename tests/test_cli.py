@@ -145,3 +145,36 @@ def test_config_file(capsys, tmp_path):
                            "--config", str(cfg))
     assert code == 0
     assert "inconclusive" in out
+
+
+def test_verify_unknown_param_usage_error(capsys):
+    code, _, err = run_cli(capsys, "verify", "erdos", "--param", "bogus=9",
+                           "--n-range", "5..5")
+    assert code == 2 and "unknown parameter bogus" in err
+
+
+def test_config_unknown_key_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("max-explored=3\nwitness_cap=4\n")
+    code, _, err = run_cli(capsys, "verify", "erdos", "--n-range", "5..5",
+                           "--config", str(cfg))
+    assert code == 2 and "unknown config key 'witness_cap'" in err
+
+
+def test_witness_cap_command_line_then_file_then_default(capsys, tmp_path, monkeypatch):
+    from genturan import cli
+    from genturan.verify import TheoremCheck
+    caps = []
+
+    def fake_run_check(check_id, params, n_range, config):
+        caps.append(config.witness_cap)
+        return TheoremCheck(check_id, {}, (5, 5))
+
+    monkeypatch.setattr(cli, "run_check", fake_run_check)
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("witness-cap=3\n")
+    for argv in (["--config", str(cfg), "--witness-cap", "16"],
+                 ["--config", str(cfg)], []):
+        code, _, _ = run_cli(capsys, "verify", "erdos", *argv)
+        assert code == 0
+    assert caps == [16, 3, 16]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -11,8 +13,8 @@ from genturan.constructions import erdos_value, prop61_value
 from genturan.counting import count_copies, is_family_free
 from genturan.graph6 import decode_graph6, encode_graph6
 from genturan.graphs import (canonical_form, canonical_graph, complete,
-                             complete_bipartite, copies, cycle,
-                             enumerate_graphs, turan)
+                             complete_bipartite, copies, cycle, disjoint_union,
+                             enumerate_graphs, relabel, turan)
 from genturan.search import (ExtremalResult, Objective, SearchProblem,
                              brute_force_ex, exbar_brute, exstar_brute, merge,
                              parse_problem, result_line, serialize_problem,
@@ -46,23 +48,58 @@ def test_enumeration_matches_naive_dedupe(n):
 def test_pruned_enumeration_triangle_free_counts():
     # Triangle-free class counts for n = 1..9.
     expected = [1, 2, 3, 7, 14, 38, 107, 410, 1897]
-    from genturan.counting import is_free
     for n, want in enumerate(expected, start=1):
-        got = sum(1 for _ in enumerate_graphs(n, lambda g: is_free(g, K3)))
+        got = sum(1 for _ in enumerate_graphs(n, (K3,)))
         assert got == want, (n, got, want)
 
 
+def _union(*parts):
+    out = parts[0]
+    for part in parts[1:]:
+        out = disjoint_union(out, part)
+    return out
+
+
+# Connected members (two with vertices in different orbits), kF unions,
+# mixed unions (one with an isolated-vertex component, one whose leftover
+# after the anchored component mixes two types), families mixing both
+# kinds, and relabelled members whose components interleave.
+PRUNE_FAMILIES = [
+    (K3,), (cycle(4),), (cycle(5),), (complete(4),), (copies(2, complete(2)),),
+    (complete_bipartite(1, 3),), (K3, cycle(4)), (cycle(5), complete(4)),
+    (_union(complete_bipartite(1, 2), K3),),
+    (copies(2, K3),), (copies(2, cycle(4)),), (copies(2, cycle(5)),),
+    (_union(complete(4), cycle(4)),), (_union(K3, cycle(4)),),
+    (_union(complete(2), complete(1)),), (_union(K3, complete(2), complete(2)),),
+    (copies(2, K3), cycle(5)), (complete(4), cycle(4)),
+    (relabel(copies(2, K3), [0, 2, 4, 1, 3, 5]),),
+    (relabel(_union(K3, cycle(4)), [6, 0, 3, 1, 5, 2, 4]),),
+]
+
+
 def test_hereditary_pruning_equals_post_filter():
-    rng = random.Random(61)
-    for _ in range(20):
-        n = rng.randint(3, 6)
-        family = rng.sample([K3, cycle(4), cycle(5), complete(4),
-                             copies(2, complete(2))], rng.randint(1, 2))
-        pruned = {canonical_form(g) for g in enumerate_graphs(
-            n, lambda g: is_family_free(g, family))}
-        filtered = {canonical_form(g) for g in enumerate_graphs(n)
-                    if is_family_free(g, family)}
-        assert pruned == filtered
+    # The incremental prune against the unpruned enumeration filtered by the
+    # full containment test, for every n <= 7.
+    for n in range(1, 8):
+        everything = list(enumerate_graphs(n))
+        for family in PRUNE_FAMILIES:
+            pruned = [canonical_form(g) for g in enumerate_graphs(n, family)]
+            filtered = {canonical_form(g) for g in everything
+                        if is_family_free(g, family)}
+            assert len(pruned) == len(set(pruned)), (n, family)
+            assert set(pruned) == filtered, (n, family)
+
+
+def test_shard_roots_give_the_unsharded_classes():
+    family = (copies(2, K3),)
+    full = [canonical_form(g) for g in enumerate_graphs(8, family)]
+    sharded = []
+    for piece in shard(SearchProblem(8, family, Objective.edges()), 3):
+        roots = [decode_graph6(r) for r in piece.roots]
+        sharded += [canonical_form(g) for g in enumerate_graphs(
+            8, family, _roots=roots, _root_level=piece.root_level)]
+    assert len(full) == 4155
+    assert sorted(sharded) == sorted(full)
 
 
 def test_brute_force_spec_examples():
@@ -213,3 +250,22 @@ def test_objective_validation():
         Objective.exstar(1)
     with pytest.raises(ValueError):
         Objective("copies")
+
+
+def test_witness_recheck_raises_under_optimize():
+    # The re-check is a raised VerificationError, so `python -O` keeps it.
+    code = "\n".join([
+        "import sys",
+        "from genturan import search",
+        "from genturan.graphs import VerificationError, complete",
+        "search.is_family_free = lambda g, family: False",
+        "problem = search.SearchProblem(4, (complete(3),), search.Objective.edges())",
+        "try:",
+        "    search.brute_force_ex(problem, use_cache=False)",
+        "except VerificationError as err:",
+        "    print('optimize', sys.flags.optimize, err)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("optimize 1 witness")

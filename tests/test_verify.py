@@ -36,6 +36,13 @@ def test_unknown_id_rejected():
         run_check("thm9.9")
 
 
+def test_unknown_params_rejected():
+    with pytest.raises(ValueError, match="unknown parameter bogus"):
+        run_check("erdos", {"bogus": 9}, (5, 5))
+    # prop5.1 shares its runner with prop5.2, which reads k.
+    assert run_check("prop5.1", {"k": 2}, (5, 5)).params["k"] == 2
+
+
 def test_hypothesis_violations_rejected():
     with pytest.raises(HypothesisError):
         run_check("thm2.4", {"f": "K3"}, (6, 6))      # 3 < 4 vertices
