@@ -13,7 +13,7 @@ from .graphs import (Graph, MAX_VERTICES, VerificationError, are_isomorphic,
                      enumerate_graphs, from_edges, is_connected, join, relabel,
                      turan)
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
-from .gspec import GraphSpec, SpecError, build, parse_spec, parse_spec_list
+from .gspec import GraphSpec, SpecError, parse_spec, parse_spec_list
 from .counting import (contains, count_copies, count_copies_meeting,
                        count_induced_copies, count_induced_family,
                        count_injections, induced_family, is_family_free,

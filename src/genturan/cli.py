@@ -233,7 +233,12 @@ def _cmd_verify(args) -> int:
     cfg = VerifyConfig(witness_cap=witness_cap, budget_seconds=budget,
                        max_explored=max_explored)
     n_range = _parse_range(args.n_range) if args.n_range else None
-    params = dict(kv.split("=", 1) for kv in args.param)
+    params = {}
+    for kv in args.param:
+        key, eq, value = kv.partition("=")
+        if not eq:
+            raise UsageError(f"bad --param {kv!r}; expected KEY=VALUE")
+        params[key] = value
     workers = args.workers
     if workers is None and "workers" in file_cfg:
         workers = int(file_cfg["workers"])

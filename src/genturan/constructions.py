@@ -11,7 +11,6 @@ backtracker, so the two can cross-check each other.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb, factorial
 
 from . import graphs
@@ -178,17 +177,3 @@ def erdos_value(n: int, s: int, t: int) -> int:
     if not 2 <= s < t <= n:
         raise ValueError(f"need 2 <= s < t <= n, got s={s}, t={t}, n={n}")
     return turan_clique_count(n, t - 1, s)
-
-
-def turan_clique_count_naive(n: int, r: int, s: int) -> int:
-    """Independent evaluation of turan_clique_count by explicit subsets."""
-    sizes = graphs.turan_part_sizes(n, r)
-    if s > len(sizes):
-        return 0
-    total = 0
-    for idxs in combinations(range(len(sizes)), s):
-        prod = 1
-        for i in idxs:
-            prod *= sizes[i]
-        total += prod
-    return total

@@ -6,10 +6,15 @@ edge-preserving maps V(H) -> V(G) divided by |Aut(H)|; the division is always
 exact and is checked.  Induced counting, the family of all induced subgraphs
 of a pattern, and freeness tests live here too.
 
-The core is a bitmask backtracker: pattern vertices are mapped in a
-connectivity-respecting order chosen to maximize the number of already-mapped
-neighbors, so candidate sets shrink to neighborhood intersections as early as
-possible.
+The core is the package's one embedder, `_inject`, a bitmask backtracker
+over injective maps of a pattern into a host.  Pattern vertices are mapped
+in a connectivity-respecting order chosen to maximize the number of
+already-mapped neighbors, so candidate sets shrink to neighborhood
+intersections as early as possible.  The same search counts copies and
+induced copies, stops at a first hit for freeness tests, counts copies by
+how they meet a vertex set, pins a pattern vertex to an anchor for the
+enumerator's incremental prune, collects copy vertex sets for packing, and
+counts automorphisms as the injective maps of a graph into itself.
 """
 
 from __future__ import annotations
@@ -20,11 +25,14 @@ from .graphs import (Graph, VerificationError, _rooted_cert, automorphism_count,
                      canonical_cert, empty_graph)
 
 
+_Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+
+
 @lru_cache(maxsize=1024)
-def _pattern_plan(h: Graph, first: int | None = None
-                  ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _pattern_plan(h: Graph, first: int | None = None, induced: bool = False) -> _Plan:
     """Mapping order of h's vertices and, per depth, the earlier depths
-    adjacent to the vertex mapped there.
+    adjacent to the vertex mapped there (`backs`) and, for an induced plan,
+    the earlier depths not adjacent to it (`nons`, an empty tuple otherwise).
 
     Components are mapped one after another, each next vertex the one with
     the most already-mapped neighbors; `first` forces the first vertex."""
@@ -50,7 +58,12 @@ def _pattern_plan(h: Graph, first: int | None = None
     pos_of = {v: i for i, v in enumerate(order)}
     backs = tuple(tuple(pos_of[u] for u in range(n) if h.adj[v] >> u & 1 and pos_of[u] < i)
                   for i, v in enumerate(order))
-    return tuple(order), backs
+    nons = ()
+    if induced:
+        nons = tuple(tuple(pos_of[u] for u in range(n)
+                           if not h.adj[v] >> u & 1 and pos_of[u] < i)
+                     for i, v in enumerate(order))
+    return tuple(order), backs, nons
 
 
 @lru_cache(maxsize=1024)
@@ -67,10 +80,10 @@ def _orbit_representatives(h: Graph) -> tuple[int, ...]:
     return tuple(reps)
 
 
-def _anchored_plans(h: Graph) -> list[tuple[tuple[int, ...], ...]]:
-    """The `backs` of the plans that find every copy of h through an anchor
-    vertex: one plan per orbit representative, mapped first."""
-    return [_pattern_plan(h, p)[1] for p in _orbit_representatives(h)]
+def _anchored_plans(h: Graph) -> list[_Plan]:
+    """The plans that find every copy of h through an anchor vertex: one
+    plan per orbit representative, mapped first."""
+    return [_pattern_plan(h, p) for p in _orbit_representatives(h)]
 
 
 def count_injections(g: Graph, h: Graph) -> int:
@@ -79,35 +92,41 @@ def count_injections(g: Graph, h: Graph) -> int:
         return 0
     if h.n == 0:
         return 1
-    return _inject(g, _pattern_plan(h)[1], limit=None)
+    return _inject(g, _pattern_plan(h))
 
 
-def _inject(g: Graph, backs: tuple[tuple[int, ...], ...], limit: int | None,
+def _inject(g: Graph, plan: _Plan, limit: int | None = None,
             meet_mask: int = 0, meet_target: int = -1,
-            anchor: int | None = None) -> int:
-    """Backtracking count of injective edge-preserving maps of a pattern
-    whose plan (`_pattern_plan`) has the given `backs`.
+            anchor: int | None = None, found: set[int] | None = None) -> int:
+    """Backtracking count of the injective maps of a pattern into g that
+    follow its `_pattern_plan`: edge-preserving, and for an induced plan
+    non-edge-preserving too.
 
     With `limit` set the search stops as soon as that many maps are found.
     With `meet_target >= 0` only maps whose image meets `meet_mask` in exactly
     that many vertices are counted.  With `anchor` set the plan's first
-    pattern vertex is pinned to that host vertex.
+    pattern vertex is pinned to that host vertex.  With `found` set, the
+    vertex set (a bitmask) of every counted map's image is added to it.
     """
+    _, backs, nons = plan
     gadj = g.adj
     hn = len(backs)
     full = (1 << g.n) - 1
     images = [0] * hn
     count = 0
 
-    def rec(depth: int, used: int, met: int) -> bool:
+    def rec(depth: int, used: int) -> bool:
         nonlocal count
         if depth == hn:
-            if meet_target < 0 or met == meet_target:
+            if meet_target < 0 or (used & meet_mask).bit_count() == meet_target:
                 count += 1
+                if found is not None:
+                    found.add(used)
                 if limit is not None and count >= limit:
                     return True
             return False
         if meet_target >= 0:
+            met = (used & meet_mask).bit_count()
             if met > meet_target or met + (hn - depth) < meet_target:
                 return False
         cand = full & ~used
@@ -115,19 +134,22 @@ def _inject(g: Graph, backs: tuple[tuple[int, ...], ...], limit: int | None,
             cand &= gadj[images[b]]
             if not cand:
                 return False
+        if nons:
+            for b in nons[depth]:
+                cand &= ~gadj[images[b]]
         while cand:
             w = (cand & -cand).bit_length() - 1
             cand &= cand - 1
             images[depth] = w
-            if rec(depth + 1, used | (1 << w), met + (meet_mask >> w & 1)):
+            if rec(depth + 1, used | (1 << w)):
                 return True
         return False
 
     if anchor is None:
-        rec(0, 0, 0)
+        rec(0, 0)
     else:
         images[0] = anchor
-        rec(1, 1 << anchor, meet_mask >> anchor & 1)
+        rec(1, 1 << anchor)
     return count
 
 
@@ -161,8 +183,7 @@ def count_copies_meeting(g: Graph, h: Graph, meet: int, exactly: int) -> int:
         return 0
     if h.n > g.n:
         return 0
-    total = _inject(g, _pattern_plan(h)[1], limit=None, meet_mask=meet,
-                    meet_target=exactly)
+    total = _inject(g, _pattern_plan(h), meet_mask=meet, meet_target=exactly)
     return _per_copy(total, h)
 
 
@@ -172,7 +193,7 @@ def contains(g: Graph, f: Graph) -> bool:
         return False
     if f.n == 0:
         return True
-    return _inject(g, _pattern_plan(f)[1], limit=1) > 0
+    return _inject(g, _pattern_plan(f), limit=1) > 0
 
 
 def is_free(g: Graph, f: Graph) -> bool:
@@ -189,38 +210,7 @@ def count_induced_copies(g: Graph, h: Graph) -> int:
         raise ValueError("pattern needs at least one vertex")
     if h.n > g.n:
         return 0
-    order = _pattern_plan(h)[0]
-    gadj = g.adj
-    hadj = h.adj
-    hn = h.n
-    full = (1 << g.n) - 1
-    pos_of = {v: i for i, v in enumerate(order)}
-    rows = [[(pos_of[u], hadj[v] >> u & 1) for u in range(hn) if pos_of[u] < i]
-            for i, v in enumerate(order)]
-    images = [0] * hn
-    count = 0
-
-    def rec(depth: int, used: int) -> None:
-        nonlocal count
-        if depth == hn:
-            count += 1
-            return
-        cand = full & ~used
-        for b, adjacent in rows[depth]:
-            if adjacent:
-                cand &= gadj[images[b]]
-            else:
-                cand &= ~gadj[images[b]]
-            if not cand:
-                return
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            images[depth] = w
-            rec(depth + 1, used | (1 << w))
-
-    rec(0, 0)
-    return _per_copy(count, h)
+    return _per_copy(_inject(g, _pattern_plan(h, induced=True)), h)
 
 
 def induced_family(h: Graph) -> list[Graph]:

@@ -6,8 +6,9 @@ operations.  On top of the representation this module provides the named
 constructors (complete, cycle, complete bipartite, Turan, join, disjoint
 union, k copies, vertex deletion) and the isomorphism machinery: a canonical
 form computed by equitable partition refinement plus backtracking with
-automorphism pruning, exact automorphism counting, and the vertex-orbit
-queries needed by the isomorphism-free enumerator.
+automorphism pruning, the vertex-orbit queries needed by the isomorphism-free
+enumerator, and automorphism counting, which runs the counting module's
+embedder on a graph and itself.
 """
 
 from __future__ import annotations
@@ -329,13 +330,6 @@ def _refine(adj: Sequence[int], cells: list[list[int]],
     return cells
 
 
-def stable_partition(g: Graph) -> list[list[int]]:
-    """Stable ordered partition refined from the unit partition."""
-    if g.n == 0:
-        return []
-    return _refine(g.adj, [list(range(g.n))])
-
-
 class _CanonResult:
     __slots__ = ("cert", "order", "gens")
 
@@ -476,51 +470,14 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 @lru_cache(maxsize=4096)
 def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group, by backtracking over color-respecting maps.
+    """Order of the automorphism group: the number of injective
+    edge-preserving maps of g into itself.  Each such map is an automorphism,
+    since it maps the finite edge set injectively into itself, hence onto it.
 
-    Intended for small pattern graphs (say up to 12 vertices); the search is
-    pruned by the stable-partition colors and exact adjacency consistency.
+    Intended for small pattern graphs (say up to 12 vertices).
     """
-    n = g.n
-    if n <= 1:
-        return 1
-    cells = stable_partition(g)
-    color_mask = [0] * n
-    for cell in cells:
-        mask = sum(1 << v for v in cell)
-        for v in cell:
-            color_mask[v] = mask
-    # Map vertices in order of increasing color-class size, then index.
-    order = [v for cell in sorted(cells, key=len) for v in cell]
-    adj = g.adj
-    full = (1 << n) - 1
-    count = 0
-
-    def extend(depth: int, used: int, images: list[int]) -> None:
-        nonlocal count
-        if depth == n:
-            count += 1
-            return
-        v = order[depth]
-        cand = color_mask[v] & ~used & full
-        row = adj[v]
-        for i in range(depth):
-            u = order[i]
-            if row >> u & 1:
-                cand &= adj[images[i]]
-            else:
-                cand &= ~adj[images[i]]
-            if not cand:
-                return
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            images.append(w)
-            extend(depth + 1, used | (1 << w), images)
-            images.pop()
-
-    extend(0, 0, [])
-    return count
+    from .counting import count_injections  # counting builds on this module
+    return count_injections(g, g)
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +493,6 @@ def _rooted_cert(adj: Sequence[int], n: int, root: int) -> tuple[int, ...]:
     rest = [u for u in range(n) if u != root]
     cells: list[list[int]] = ([rest, [root]] if rest else [[root]])
     return _canon_search(adj, n, _refine(adj, cells)).cert
-
-
-def same_orbit(g: Graph, u: int, v: int) -> bool:
-    """Whether u and v lie in the same orbit of the automorphism group."""
-    if u == v:
-        return True
-    return _rooted_cert(g.adj, g.n, u) == _rooted_cert(g.adj, g.n, v)
 
 
 def _accept_child(adj: tuple[int, ...], n: int) -> tuple[int, ...] | None:

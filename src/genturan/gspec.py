@@ -2,8 +2,8 @@
 
 A GraphSpec names a graph symbolically: leaves are K_r, C_l, K_{a,b}, the
 Turan graph T_r(n) and the edgeless graph; combinators are join, disjoint
-union, k-fold copies and single-vertex deletion.  `build` evaluates a spec to
-a Graph, validating leaf parameters and the 64-vertex cap.
+union, k-fold copies and single-vertex deletion.  `GraphSpec.build` evaluates
+a spec to a Graph, validating leaf parameters and the 64-vertex cap.
 
 Text forms accepted by the CLI:
 
@@ -181,10 +181,6 @@ class DeleteVertex(GraphSpec):
 
     def __str__(self) -> str:
         return f"del({self.spec}, {self.v})"
-
-
-def build(spec: GraphSpec) -> Graph:
-    return spec.build()
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 A packing of a pattern F in a host G is a family of pairwise vertex-disjoint
 vertex sets, each spanning a copy of F.  The exact maximum is found by branch
 and bound over the hypergraph of copy vertex sets, seeded with a greedy lower
-bound.  The partition built from a maximum packing puts the packed vertices
-on one side (L) and the rest (R); the R-induced subgraph is always F-free,
-which is checked.  The enumerator's incremental freeness test lives here too,
-since it packs component copies.
+bound.  The copy vertex sets come from the counting module's embedder,
+`counting._inject`, which collects the image of every map.  The partition
+built from a maximum packing puts the packed vertices on one side (L) and the
+rest (R); the R-induced subgraph is always F-free, which is checked.  The
+enumerator's incremental freeness test lives here too, since it packs
+component copies.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, VerificationError, _bits, canonical_cert, component_masks
-from .counting import _anchored_plans, _inject, _pattern_plan, is_family_free, is_free
+from .counting import (_Plan, _anchored_plans, _inject, _pattern_plan, is_family_free,
+                       is_free)
 
 
 @dataclass(frozen=True)
@@ -51,35 +54,10 @@ def copy_vertex_sets(g: Graph, f: Graph, anchor: int | None = None) -> list[int]
         raise ValueError("pattern needs at least one vertex")
     if f.n > g.n:
         return []
-    gadj = g.adj
-    fn = f.n
-    full = (1 << g.n) - 1
-    images = [0] * fn
     found: set[int] = set()
-
-    # `backs` is the plan being run, bound below.
-    def rec(depth: int, used: int) -> None:
-        if depth == fn:
-            found.add(used)
-            return
-        cand = full & ~used
-        for b in backs[depth]:
-            cand &= gadj[images[b]]
-            if not cand:
-                return
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            images[depth] = w
-            rec(depth + 1, used | (1 << w))
-
-    if anchor is None:
-        backs = _pattern_plan(f)[1]
-        rec(0, 0)
-    else:
-        images[0] = anchor
-        for backs in _anchored_plans(f):
-            rec(1, 1 << anchor)
+    plans = [_pattern_plan(f)] if anchor is None else _anchored_plans(f)
+    for plan in plans:
+        _inject(g, plan, anchor=anchor, found=found)
     return sorted(found)
 
 
@@ -233,7 +211,7 @@ class FreenessPrune:
     def __init__(self, forbidden, n: int):
         self.members = [f for f in forbidden if f.n <= n]
         # Per connected member: its vertex count and anchored plans.
-        self.connected: list[tuple[int, list[tuple[tuple[int, ...], ...]]]] = []
+        self.connected: list[tuple[int, list[_Plan]]] = []
         self.types: list[Graph] = []
         # Per disconnected member: its vertex count and, for each component
         # type that can hold a, the (type, count) copies the parent must hold.
@@ -273,8 +251,8 @@ class FreenessPrune:
         for size, plans in self.connected:
             if size > child.n:
                 continue
-            for backs in plans:
-                if _inject(child, backs, 1, anchor=a):
+            for plan in plans:
+                if _inject(child, plan, 1, anchor=a):
                     return False
         parent = (1 << a) - 1
         for size, anchors in self.unions:

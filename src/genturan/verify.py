@@ -111,13 +111,6 @@ def _brute(n: int, forbidden: tuple[Graph, ...], objective: Objective,
                           n_cap=max(cfg.n_cap, n))
 
 
-def _verdict_geq(value: int | None, exhaustive: bool, bound: int) -> str:
-    """Certify (search maximum) >= bound; partial maxima are lower bounds."""
-    if value is not None and value >= bound:
-        return PASS
-    return FAIL if exhaustive else INCONCLUSIVE
-
-
 def _verdict_leq(lhs: int, lhs_exhaustive: bool, rhs: int, rhs_exhaustive: bool) -> str:
     """Certify lhs <= rhs where both sides are search maxima."""
     if lhs_exhaustive and lhs <= rhs:
@@ -132,6 +125,16 @@ def _free_row(check_id: str, n: int, params: str, g: Graph, k: int,
     ok = is_kF_free(g, k, f)
     return CheckRow(check_id, n, params, FREE, f"{label}-free",
                     "free" if ok else "not-free", PASS if ok else FAIL)
+
+
+def _oracle_row(check_id: str, n: int, params: str, result: ExtremalResult,
+                bound: int) -> CheckRow:
+    """Row certifying (search maximum) >= bound; partial maxima are lower bounds."""
+    if result.value is not None and result.value >= bound:
+        verdict = PASS
+    else:
+        verdict = FAIL if result.exhaustive else INCONCLUSIVE
+    return CheckRow(check_id, n, params, LOWER, f">={bound}", str(result.value), verdict)
 
 
 def _ratio_row(check_id: str, n: int, params: str, label: str,
@@ -180,9 +183,7 @@ def _run_gorgol(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         raise HypothesisError("needs k >= 1 and a non-empty pattern")
     ps = _params_str(p)
     rows, notes = [], []
-    kf = f
-    for _ in range(k - 1):
-        kf = disjoint_union(kf, f)
+    kf = copies(k, f)
     for n in range(n_range[0], n_range[1] + 1):
         res_k = _brute(n, (kf,), Objective.edges(), cfg)
         res_1 = _brute(n, (f,), Objective.edges(), cfg)
@@ -221,9 +222,7 @@ def _run_thm21(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         raise HypothesisError("forbidden pattern must have an edge")
     ps = _params_str(p)
     rows, notes = [], []
-    kf = f
-    for _ in range(k - 1):
-        kf = disjoint_union(kf, f)
+    kf = copies(k, f)
     for n in range(n_range[0], n_range[1] + 1):
         if n - k + 1 < 1:
             continue
@@ -239,9 +238,7 @@ def _run_thm21(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
                              str(built_count),
                              PASS if ok else (FAIL if inner.exhaustive else INCONCLUSIVE)))
         oracle = _brute(n, (kf,), _copies_objective(h), cfg)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={built_count}",
-                             str(oracle.value),
-                             _verdict_geq(oracle.value, oracle.exhaustive, built_count)))
+        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
         outer = _brute(n, (f,), Objective.exbar(h), cfg)
         if oracle.value is not None and outer.value:
             rows.append(_ratio_row(cid, n, ps, "bounded-multiple",
@@ -272,9 +269,7 @@ def _run_thm22(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
             if r.value is not None:
                 best_single = r.value if best_single is None else max(best_single, r.value)
         if best_single is not None:
-            rows.append(CheckRow(cid, n, ps, LOWER, f">={best_single}",
-                                 str(oracle.value),
-                                 _verdict_geq(oracle.value, oracle.exhaustive, best_single)))
+            rows.append(_oracle_row(cid, n, ps, oracle, best_single))
         if n >= 2:
             pair = _brute(n - 1, (f1, f2), Objective.edges(), cfg)
             g0 = _witness_graph(pair)
@@ -289,9 +284,7 @@ def _run_thm22(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
                 rows.append(CheckRow(cid, n, ps, LOWER, f">={pair.value}",
                                      str(built_count),
                                      PASS if ok2 else (FAIL if pair.exhaustive else INCONCLUSIVE)))
-                rows.append(CheckRow(cid, n, ps, LOWER, f">={built_count}",
-                                     str(oracle.value),
-                                     _verdict_geq(oracle.value, oracle.exhaustive, built_count)))
+                rows.append(_oracle_row(cid, n, ps, oracle, built_count))
     return rows, notes
 
 
@@ -305,9 +298,7 @@ def _run_thm24(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
     ps = _params_str(p)
     rows, notes = [], []
     k3 = complete(3)
-    kf = f
-    for _ in range(k - 1):
-        kf = disjoint_union(kf, f)
+    kf = copies(k, f)
     for n in range(n_range[0], n_range[1] + 1):
         if n - k + 1 < 1:
             continue
@@ -342,9 +333,7 @@ def _run_thm27(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         raise HypothesisError("needs r >= 2, k >= 1 and a non-empty pattern")
     ps = _params_str(p)
     rows, notes = [], []
-    kf = f
-    for _ in range(k - 1):
-        kf = disjoint_union(kf, f)
+    kf = copies(k, f)
     for n in range(n_range[0], n_range[1] + 1):
         per_m = []
         for m in range(1, r + 1):
@@ -368,9 +357,7 @@ def _run_thm27(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
                              str(built_count),
                              PASS if ok else (FAIL if inner.exhaustive else INCONCLUSIVE)))
         oracle = _brute(n, (kf,), _copies_objective(complete(r)), cfg)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={built_count}",
-                             str(oracle.value),
-                             _verdict_geq(oracle.value, oracle.exhaustive, built_count)))
+        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
     return rows, notes
 
 
@@ -396,9 +383,7 @@ def _run_thm32(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         rows.append(CheckRow(cid, n, ps, LOWER, f">={inner}", str(built_count),
                              PASS if built_count >= inner else FAIL))
         oracle = _brute(n, (kf,), _copies_objective(complete(s)), cfg)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={built_count}",
-                             str(oracle.value),
-                             _verdict_geq(oracle.value, oracle.exhaustive, built_count)))
+        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
         if oracle.value is not None:
             rows.append(_ratio_row(cid, n, ps, f"Theta(n^{x})",
                                    [("oracle", oracle.value / n ** x),
@@ -420,8 +405,7 @@ def _run_thm34(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         rows.append(_free_row(cid, n, ps, built, k, complete(t), f"{k}K{t}"))
         lower = cons.turan_clique_count(n, t - 1, s)
         oracle = _brute(n, (kf,), _copies_objective(complete(s)), cfg)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={lower}", str(oracle.value),
-                             _verdict_geq(oracle.value, oracle.exhaustive, lower)))
+        rows.append(_oracle_row(cid, n, ps, oracle, lower))
         if oracle.value is not None:
             asym = comb(t - 1, s) * (n / (t - 1)) ** s
             rows.append(_ratio_row(cid, n, ps, f"to-asymptote(n^{s})",
@@ -447,8 +431,7 @@ def _run_thm35(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         rows.append(CheckRow(cid, n, ps, EXACT, str(leading), str(meeting),
                              PASS if meeting == leading else FAIL))
         oracle = _brute(n, (kf,), _copies_objective(complete(s)), cfg)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={leading}", str(oracle.value),
-                             _verdict_geq(oracle.value, oracle.exhaustive, leading)))
+        rows.append(_oracle_row(cid, n, ps, oracle, leading))
         if oracle.value is not None:
             asym = comb(k - 1, s - t + 1) * (n / (t - 1)) ** (t - 1)
             rows.append(_ratio_row(cid, n, ps, f"to-asymptote(n^{t - 1})",
@@ -483,10 +466,7 @@ def _run_cycles(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
                 built = cons.universal_join(k, g_star)
                 rows.append(_free_row(cid, n, ps, built, k, cyc, f"{k}C{length}"))
                 built_count = count_copies(built, complete(r))
-                rows.append(CheckRow(cid, n, ps, LOWER, f">={built_count}",
-                                     str(oracle.value),
-                                     _verdict_geq(oracle.value, oracle.exhaustive,
-                                                  built_count)))
+                rows.append(_oracle_row(cid, n, ps, oracle, built_count))
         rows.append(_ratio_row(cid, n, ps, f"O(n^{exponent:.2f})",
                                [("oracle", oracle.value / n ** exponent)]))
     return rows, notes
@@ -510,10 +490,7 @@ def _run_prop51(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
             single = _brute(n, (complete_bipartite(s, t),),
                             _copies_objective(pattern), cfg)
             if single.value is not None:
-                rows.append(CheckRow(cid, n, ps, LOWER, f">={single.value}",
-                                     str(oracle.value),
-                                     _verdict_geq(oracle.value, oracle.exhaustive,
-                                                  single.value)))
+                rows.append(_oracle_row(cid, n, ps, oracle, single.value))
         rows.append(_ratio_row(cid, n, ps, f"O(n^{exponent:.3f})",
                                [("oracle", oracle.value / n ** exponent)]))
     return rows, notes
@@ -545,9 +522,7 @@ def _run_prop53(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
                              str(built_count),
                              PASS if built_count >= floor_count else FAIL))
         oracle = _brute(n, (forb,), _copies_objective(pattern), cfg)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={built_count}",
-                             str(oracle.value),
-                             _verdict_geq(oracle.value, oracle.exhaustive, built_count)))
+        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
         if oracle.value is not None:
             rows.append(_ratio_row(cid, n, ps, f"Theta(n^{b})",
                                    [("oracle", oracle.value / n ** b)]))
@@ -586,9 +561,7 @@ def _run_prop54(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
                              str(built_count),
                              PASS if built_count >= floor_count else FAIL))
         oracle = _brute(n, (kst,), _copies_objective(pattern), cfg)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={built_count}",
-                             str(oracle.value),
-                             _verdict_geq(oracle.value, oracle.exhaustive, built_count)))
+        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
         if oracle.value is not None:
             rows.append(_ratio_row(cid, n, ps, f"Theta(n^{b})",
                                    [("oracle", oracle.value / n ** b)]))
@@ -638,9 +611,7 @@ def _run_thm62(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         rows.append(CheckRow(cid, n, ps, LOWER, f">={leading}", str(built_count),
                              PASS if built_count >= leading else FAIL))
         oracle = _brute(n, (kf,), _copies_objective(pattern), cfg)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={built_count}",
-                             str(oracle.value),
-                             _verdict_geq(oracle.value, oracle.exhaustive, built_count)))
+        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
         if oracle.value is not None:
             rows.append(_ratio_row(cid, n, ps, f"to-asymptote((n^2/4)^{l})",
                                    [("oracle/asym",
@@ -662,8 +633,7 @@ def _run_prop63(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         if whole.value is None or any(r.value is None for r in parts):
             continue
         best = max(r.value for r in parts)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={best}", str(whole.value),
-                             _verdict_geq(whole.value, whole.exhaustive, best)))
+        rows.append(_oracle_row(cid, n, ps, whole, best))
         certified = whole.exhaustive and all(r.exhaustive for r in parts)
         diff = whole.value - best
         ok = diff <= 3 * n

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from genturan.graphs import Graph
+from genturan.graphs import Graph, turan_part_sizes
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -21,16 +21,21 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, adj)
 
 
-def naive_count_copies(g: Graph, h: Graph) -> int:
+def naive_count_copies(g: Graph, h: Graph, meet: int = 0,
+                       exactly: int | None = None) -> int:
     """Copies of h in g by explicit subsets and permutations.
 
     For every |V(h)|-subset of hosts, every bijection to the pattern is
-    tried; distinct surviving edge sets are distinct copies."""
+    tried; distinct surviving edge sets are distinct copies.  With `exactly`
+    set, only subsets holding exactly that many vertices of the bitmask
+    `meet` count."""
     if h.n > g.n:
         return 0
     h_edges = list(h.edges())
     total = 0
     for subset in combinations(range(g.n), h.n):
+        if exactly is not None and sum(meet >> v & 1 for v in subset) != exactly:
+            continue
         seen: set[frozenset] = set()
         for perm in permutations(subset):
             mapped = []
@@ -138,3 +143,17 @@ def naive_max_packing(g: Graph, f: Graph) -> int:
             if ok:
                 return k
     return 0
+
+
+def turan_clique_count_naive(n: int, r: int, s: int) -> int:
+    """Independent evaluation of turan_clique_count by explicit subsets."""
+    sizes = turan_part_sizes(n, r)
+    if s > len(sizes):
+        return 0
+    total = 0
+    for idxs in combinations(range(len(sizes)), s):
+        prod = 1
+        for i in idxs:
+            prod *= sizes[i]
+        total += prod
+    return total

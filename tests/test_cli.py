@@ -151,6 +151,9 @@ def test_verify_unknown_param_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "erdos", "--param", "bogus=9",
                            "--n-range", "5..5")
     assert code == 2 and "unknown parameter bogus" in err
+    code, _, err = run_cli(capsys, "verify", "erdos", "--param", "bogus",
+                           "--n-range", "5..5")
+    assert code == 2 and "bad --param 'bogus'; expected KEY=VALUE" in err
 
 
 def test_config_unknown_key_usage_error(capsys, tmp_path):

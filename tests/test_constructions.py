@@ -11,14 +11,13 @@ from genturan.constructions import (default_center_vertex, erdos_value,
                                     f_star, prop54_lower, prop61_value,
                                     thm32_lower, thm35_leading, thm35_lower,
                                     thm62_lower, turan_clique_count,
-                                    turan_clique_count_naive, universal_join,
-                                    x_exponent)
+                                    universal_join, x_exponent)
 from genturan.counting import (count_copies, count_copies_meeting, is_free)
 from genturan.graphs import (are_isomorphic, complete, complete_bipartite,
                              copies, cycle, delete_vertex, join, turan)
 from genturan.packing import is_kF_free
 
-from conftest import random_graph
+from conftest import random_graph, turan_clique_count_naive
 
 K3 = complete(3)
 

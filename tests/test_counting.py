@@ -21,6 +21,7 @@ from genturan.graphs import (automorphism_count, complete, complete_bipartite,
 from conftest import naive_count_copies, naive_count_induced, random_graph
 
 P3 = from_edges(3, [(0, 1), (1, 2)])
+P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
 
 def test_count_copies_spec_examples():
@@ -48,13 +49,18 @@ def test_count_induced_spec_examples():
     complete(3), complete(4), cycle(4), cycle(5),
     copies(2, complete(2)), complete_bipartite(2, 2), copies(2, complete(3)),
     P3, disjoint_union(complete(2), empty_graph(1)),
+    P4, complete_bipartite(1, 3), disjoint_union(complete(3), complete(2)),
 ])
 def test_count_copies_vs_naive_oracle(pattern):
     rng = random.Random(hash((pattern.n, pattern.adj)) & 0xFFFF)
+    meets = random.Random(pattern.edge_count())
     for _ in range(12):
         n = rng.randint(1, 7)
         g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
         assert count_copies(g, pattern) == naive_count_copies(g, pattern)
+        meet, exactly = meets.getrandbits(n), meets.randint(0, pattern.n)
+        assert (count_copies_meeting(g, pattern, meet, exactly)
+                == naive_count_copies(g, pattern, meet, exactly))
 
 
 @pytest.mark.parametrize("pattern", [complete(3), cycle(4), P3,

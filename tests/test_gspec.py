@@ -11,28 +11,27 @@ from genturan.graphs import (MAX_VERTICES, are_isomorphic, complete,
                              empty_graph, join, turan)
 from genturan.gspec import (Complete, CompleteBipartite, Copies, Cycle,
                             DeleteVertex, DisjointUnion, Empty, Join,
-                            SpecError, Turan, build, parse_spec,
-                            parse_spec_list)
+                            SpecError, Turan, parse_spec, parse_spec_list)
 
 
 def test_build_spec_examples():
-    assert are_isomorphic(build(Turan(5, 2)), complete_bipartite(2, 3))
-    assert build(Turan(5, 2)).edge_count() == 6
-    wheelish = build(Join(Complete(1), Turan(4, 2)))
+    assert are_isomorphic(Turan(5, 2).build(), complete_bipartite(2, 3))
+    assert Turan(5, 2).build().edge_count() == 6
+    wheelish = Join(Complete(1), Turan(4, 2)).build()
     assert wheelish.n == 5 and wheelish.edge_count() == 8
-    two_k3 = build(Copies(2, Complete(3)))
+    two_k3 = Copies(2, Complete(3)).build()
     assert two_k3.n == 6 and two_k3.edge_count() == 6
 
 
 def test_build_validates_leaves():
     with pytest.raises(SpecError):
-        build(Cycle(2))
+        Cycle(2).build()
     with pytest.raises(SpecError):
-        build(Turan(3, 4))
+        Turan(3, 4).build()
     with pytest.raises(SpecError):
-        build(Copies(0, Complete(2)))
+        Copies(0, Complete(2)).build()
     with pytest.raises(SpecError):
-        build(Copies(30, Complete(3)))  # 90 vertices
+        Copies(30, Complete(3)).build()  # 90 vertices
 
 
 def test_parse_atoms():
@@ -49,7 +48,7 @@ def test_parse_atoms():
 
 def test_parse_nested():
     spec = parse_spec("join(2*K2, del(C5, 1))")
-    g = build(spec)
+    g = spec.build()
     assert g.n == 8
     assert str(spec) == "join(2*K2, del(C5, 1))"
 

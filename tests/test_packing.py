@@ -8,7 +8,8 @@ import pytest
 
 from genturan.counting import is_free
 from genturan.graphs import (Graph, complete, complete_bipartite, copies,
-                             cycle, disjoint_union, empty_graph, join, turan)
+                             cycle, disjoint_union, empty_graph, from_edges,
+                             join, turan)
 from genturan.packing import (canonical_partition, copy_vertex_sets,
                               greedy_packing, is_kF_free,
                               max_disjoint_packing, max_packing_size)
@@ -16,6 +17,7 @@ from genturan.packing import (canonical_partition, copy_vertex_sets,
 from conftest import naive_copy_vertex_sets, naive_max_packing, random_graph
 
 K3 = complete(3)
+P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
 
 def test_packing_spec_examples():
@@ -25,11 +27,17 @@ def test_packing_spec_examples():
 
 
 def test_copy_vertex_sets_vs_naive():
+    # Anchored calls run one plan per vertex orbit of f; the last four
+    # patterns have several orbits, several components, or both.
     rng = random.Random(3)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.6, 0.9]))
-        for f in (K3, cycle(4), complete(2)):
-            assert copy_vertex_sets(g, f) == sorted(naive_copy_vertex_sets(g, f))
+        for f in (K3, cycle(4), complete(2), P4, complete_bipartite(1, 3),
+                  copies(2, complete(2)), disjoint_union(K3, complete(2))):
+            naive = sorted(naive_copy_vertex_sets(g, f))
+            assert copy_vertex_sets(g, f) == naive
+            for a in range(g.n):
+                assert copy_vertex_sets(g, f, anchor=a) == [m for m in naive if m >> a & 1]
 
 
 def test_exact_packing_vs_exhaustive_up_to_7():
