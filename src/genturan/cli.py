@@ -19,8 +19,8 @@ from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .graphs import Graph, canonical_graph, enumerate_graphs
 from .gspec import SpecError, parse_spec, parse_spec_list
 from .packing import canonical_partition, max_disjoint_packing
-from .search import (DEFAULT_WITNESS_CAP, Objective, SearchProblem,
-                     brute_force_ex, merge, result_line, shard)
+from .search import (DEFAULT_N_CAP, DEFAULT_WITNESS_CAP, Objective,
+                     SearchProblem, brute_force_ex, merge, result_line, shard)
 from .verify import (FAIL, VerifyConfig, emit_report, registry_ids,
                      run_all, run_check)
 
@@ -64,14 +64,27 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"bad n-range {text!r}; expected a..b") from err
 
 
-CONFIG_KEYS = ("budget-seconds", "max-explored", "witness-cap", "workers")
+def _positive_int(text: str) -> int:
+    """A witness cap, worker count or shard count: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+# Each verify setting and the parser of its value.
+CONFIG_KEYS = {"budget-seconds": float, "max-explored": int,
+               "witness-cap": _positive_int, "workers": _positive_int}
 
 
 def _load_config(path: str | None) -> dict:
     """Plain key=value file of CONFIG_KEYS settings; '#' starts a comment."""
     if not path:
         return {}
-    out: dict[str, str] = {}
+    out: dict[str, object] = {}
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -84,7 +97,22 @@ def _load_config(path: str | None) -> dict:
             if key not in CONFIG_KEYS:
                 raise UsageError(f"unknown config key {key!r} in {path}; "
                                  f"known: {', '.join(CONFIG_KEYS)}")
-            out[key] = value.strip()
+            try:
+                out[key] = CONFIG_KEYS[key](value.strip())
+            except (ValueError, argparse.ArgumentTypeError) as err:
+                raise UsageError(f"bad value for config key {key!r} in {path}: "
+                                 f"{err}") from None
+    return out
+
+
+def _settings(args) -> dict:
+    """Verify settings: the command line's value, else the config file's.
+    Keys left unset in both are absent."""
+    out = _load_config(args.config)
+    for key in CONFIG_KEYS:
+        value = getattr(args, key.replace("-", "_"))
+        if value is not None:
+            out[key] = value
     return out
 
 
@@ -196,7 +224,7 @@ def _cmd_search(args) -> int:
     kwargs = dict(witness_cap=args.witness_cap,
                   budget_seconds=args.budget_seconds,
                   max_explored=args.max_explored,
-                  n_cap=max(args.n, 10) if args.force else 10)
+                  n_cap=max(args.n, DEFAULT_N_CAP) if args.force else DEFAULT_N_CAP)
     if args.shards > 1:
         pieces = shard(problem, args.shards)
         result = merge([brute_force_ex(p, **kwargs) for p in pieces],
@@ -220,18 +248,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    file_cfg = _load_config(args.config)
-    budget = args.budget_seconds
-    if budget is None and "budget-seconds" in file_cfg:
-        budget = float(file_cfg["budget-seconds"])
-    max_explored = args.max_explored
-    if max_explored is None and "max-explored" in file_cfg:
-        max_explored = int(file_cfg["max-explored"])
-    witness_cap = args.witness_cap
-    if witness_cap is None:
-        witness_cap = int(file_cfg.get("witness-cap", DEFAULT_WITNESS_CAP))
-    cfg = VerifyConfig(witness_cap=witness_cap, budget_seconds=budget,
-                       max_explored=max_explored)
+    settings = _settings(args)
+    cfg = VerifyConfig(witness_cap=settings.get("witness-cap", DEFAULT_WITNESS_CAP),
+                       budget_seconds=settings.get("budget-seconds"),
+                       max_explored=settings.get("max-explored"))
     n_range = _parse_range(args.n_range) if args.n_range else None
     params = {}
     for kv in args.param:
@@ -239,13 +259,10 @@ def _cmd_verify(args) -> int:
         if not eq:
             raise UsageError(f"bad --param {kv!r}; expected KEY=VALUE")
         params[key] = value
-    workers = args.workers
-    if workers is None and "workers" in file_cfg:
-        workers = int(file_cfg["workers"])
     if args.check == "all":
         if params:
             raise UsageError("--param applies to a single check, not 'all'")
-        checks = run_all(cfg, n_range, workers=workers or 1)
+        checks = run_all(cfg, n_range, workers=settings.get("workers", 1))
     else:
         checks = [run_check(args.check, params or None, n_range, cfg)]
     table = emit_report(checks, args.csv)
@@ -303,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", default="")
     p.add_argument("--pattern")
     p.add_argument("--k", type=int)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--witness-cap", type=int, default=16)
+    p.add_argument("--shards", type=_positive_int, default=1)
+    p.add_argument("--witness-cap", type=_positive_int, default=DEFAULT_WITNESS_CAP)
     p.add_argument("--budget-seconds", type=float)
     p.add_argument("--max-explored", type=int)
     p.add_argument("--force", action="store_true",
-                   help="lift the default host-size cap of 10")
+                   help=f"lift the default host-size cap of {DEFAULT_N_CAP}")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("enumerate", help="graphs up to isomorphism")
@@ -324,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", metavar="A..B")
     p.add_argument("--csv", help="also write the CSV report here")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--witness-cap", type=int,
+    p.add_argument("--witness-cap", type=_positive_int,
                    help=f"default: the config file's, else {DEFAULT_WITNESS_CAP}")
     p.add_argument("--budget-seconds", type=float)
     p.add_argument("--max-explored", type=int)
     p.add_argument("--config", help="plain key=value config file; keys: "
                                     + ", ".join(CONFIG_KEYS))
-    p.add_argument("--workers", type=int,
+    p.add_argument("--workers", type=_positive_int,
                    help="run checks in this many worker processes (default 1)")
     p.set_defaults(fn=_cmd_verify)
     return top

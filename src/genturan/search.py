@@ -144,6 +144,8 @@ def brute_force_ex(problem: SearchProblem, *,
 
     Exceeding `budget_seconds` or `max_explored` stops the search and returns
     the best value seen with exhaustive=False."""
+    if witness_cap < 1:
+        raise ValueError(f"witness_cap must be >= 1, got {witness_cap}")
     if problem.n > n_cap:
         raise ValueError(f"host size {problem.n} exceeds the cap {n_cap}; "
                          "raise n_cap explicitly if you mean it")
@@ -260,6 +262,8 @@ def merge(results: list[ExtremalResult] | tuple[ExtremalResult, ...],
           witness_cap: int = DEFAULT_WITNESS_CAP) -> ExtremalResult:
     """Combine shard results: max of values, witnesses unioned at the max,
     explored counts summed.  Associative and order-independent."""
+    if witness_cap < 1:
+        raise ValueError(f"witness_cap must be >= 1, got {witness_cap}")
     results = list(results)
     if not results:
         raise ValueError("nothing to merge")

@@ -1,7 +1,12 @@
 """Theorem-verification registry.
 
 Each registered check binds a claim id to parameters, a default n-range and a
-row-producing runner.  Rows carry one of five modes:
+runner.  A runner is a generator `runner(check_id, params, ns, config)`: it
+validates the claim's hypotheses (raising HypothesisError), then yields
+`(n, mode, expected, actual, verdict)` for each n in the range `ns`.
+`run_check` turns every yielded tuple into a CheckRow, adding the check id
+and the parameter string and applying str() to expected and actual.  Rows
+carry one of five modes:
 
   ExactEquality         integer equality, asserted
   LowerBoundVsOracle    integer inequality against the exhaustive oracle
@@ -48,7 +53,6 @@ class VerifyConfig:
     witness_cap: int = DEFAULT_WITNESS_CAP
     budget_seconds: float | None = None
     max_explored: int | None = None
-    n_cap: int = 10
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,6 @@ class TheoremCheck:
     params: dict
     n_range: tuple[int, int]
     rows: list[CheckRow] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -108,7 +111,15 @@ def _brute(n: int, forbidden: tuple[Graph, ...], objective: Objective,
     return brute_force_ex(problem, witness_cap=cfg.witness_cap,
                           budget_seconds=cfg.budget_seconds,
                           max_explored=cfg.max_explored,
-                          n_cap=max(cfg.n_cap, n))
+                          n_cap=n)
+
+
+def _verdict(ok: bool, certified: bool) -> str:
+    """PASS when the claim holds; otherwise FAIL if the failure is certified
+    (exhaustive searches, or closed forms), else INCONCLUSIVE."""
+    if ok:
+        return PASS
+    return FAIL if certified else INCONCLUSIVE
 
 
 def _verdict_leq(lhs: int, lhs_exhaustive: bool, rhs: int, rhs_exhaustive: bool) -> str:
@@ -120,27 +131,25 @@ def _verdict_leq(lhs: int, lhs_exhaustive: bool, rhs: int, rhs_exhaustive: bool)
     return INCONCLUSIVE
 
 
-def _free_row(check_id: str, n: int, params: str, g: Graph, k: int,
-              f: Graph, label: str) -> CheckRow:
-    ok = is_kF_free(g, k, f)
-    return CheckRow(check_id, n, params, FREE, f"{label}-free",
-                    "free" if ok else "not-free", PASS if ok else FAIL)
+def _free_row(n: int, ok: bool, label: str) -> tuple:
+    return n, FREE, f"{label}-free", "free" if ok else "not-free", _verdict(ok, True)
 
 
-def _oracle_row(check_id: str, n: int, params: str, result: ExtremalResult,
-                bound: int) -> CheckRow:
+def _floor_row(n: int, count: int, floor: int, certified: bool = True) -> tuple:
+    """Row certifying (construction count) >= floor; the floor is certified
+    when it is a closed form or an exhaustive search maximum."""
+    return n, LOWER, f">={floor}", count, _verdict(count >= floor, certified)
+
+
+def _oracle_row(n: int, result: ExtremalResult, bound: int) -> tuple:
     """Row certifying (search maximum) >= bound; partial maxima are lower bounds."""
-    if result.value is not None and result.value >= bound:
-        verdict = PASS
-    else:
-        verdict = FAIL if result.exhaustive else INCONCLUSIVE
-    return CheckRow(check_id, n, params, LOWER, f">={bound}", str(result.value), verdict)
+    ok = result.value is not None and result.value >= bound
+    return n, LOWER, f">={bound}", result.value, _verdict(ok, result.exhaustive)
 
 
-def _ratio_row(check_id: str, n: int, params: str, label: str,
-               pairs: list[tuple[str, float]]) -> CheckRow:
+def _ratio_row(n: int, label: str, pairs: list[tuple[str, float]]) -> tuple:
     actual = ";".join(f"{name}:{value:.6f}" for name, value in pairs)
-    return CheckRow(check_id, n, params, RATIO, label, actual, REPORTED)
+    return n, RATIO, label, actual, REPORTED
 
 
 def _witness_graph(result: ExtremalResult) -> Graph | None:
@@ -153,47 +162,37 @@ def _witness_graph(result: ExtremalResult) -> Graph | None:
 # Check runners
 # ---------------------------------------------------------------------------
 
-def _run_erdos(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_erdos(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     s, t = int(p["s"]), int(p["t"])
     if not 2 <= s < t:
         raise HypothesisError(f"needs 2 <= s < t, got s={s}, t={t}")
-    ps = _params_str(p)
-    rows, notes = [], []
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         if n < t:
             continue
         expected = cons.erdos_value(n, s, t)
         res = _brute(n, (complete(t),), _copies_objective(complete(s)), cfg)
         ok = res.exhaustive and res.value == expected
-        verdict = PASS if ok else (FAIL if res.exhaustive else INCONCLUSIVE)
-        rows.append(CheckRow(cid, n, ps, EXACT, str(expected),
-                             str(res.value), verdict))
+        yield n, EXACT, expected, res.value, _verdict(ok, res.exhaustive)
         tg6 = encode_graph6(canonical_graph(turan(n, t - 1)))
         present = tg6 in res.witnesses
-        rows.append(CheckRow(cid, n, ps, EXACT, f"witness:{tg6}",
-                             "present" if present else "absent",
-                             PASS if present else (FAIL if res.exhaustive else INCONCLUSIVE)))
-    return rows, notes
+        yield (n, EXACT, f"witness:{tg6}", "present" if present else "absent",
+               _verdict(present, res.exhaustive))
 
 
-def _run_gorgol(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_gorgol(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     k = int(p["k"])
     f = _graph_param(p, "f")
     if k < 1 or f.edge_count() == 0:
         raise HypothesisError("needs k >= 1 and a non-empty pattern")
-    ps = _params_str(p)
-    rows, notes = [], []
     kf = copies(k, f)
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         res_k = _brute(n, (kf,), Objective.edges(), cfg)
         res_1 = _brute(n, (f,), Objective.edges(), cfg)
         if res_k.value is None or res_1.value is None:
             continue
         diff = res_k.value - res_1.value
         both = res_k.exhaustive and res_1.exhaustive
-        ok = 0 <= diff <= 2 * n
-        rows.append(CheckRow(cid, n, ps, LOWER, f"0..{2 * n}", str(diff),
-                             PASS if ok and both else (FAIL if both else INCONCLUSIVE)))
+        yield n, LOWER, f"0..{2 * n}", diff, _verdict(0 <= diff <= 2 * n and both, both)
         # Sharper upper bound, stated for connected patterns only: delete the
         # other k-1 copies' worth of vertices, close with complete-graph slack.
         d = (k - 1) * f.n
@@ -201,15 +200,11 @@ def _run_gorgol(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
             res_small = _brute(n - d, (f,), Objective.edges(), cfg)
             bound = res_small.value + comb(d, 2) + d * (n - d)
             certified = res_k.exhaustive and res_small.exhaustive
-            ok = res_k.value <= bound
-            rows.append(CheckRow(cid, n, ps, SANDWICH, f"<={bound}",
-                                 str(res_k.value),
-                                 PASS if ok and certified
-                                 else (INCONCLUSIVE if not certified else FAIL)))
-    return rows, notes
+            yield (n, SANDWICH, f"<={bound}", res_k.value,
+                   _verdict(res_k.value <= bound and certified, certified))
 
 
-def _run_thm21(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_thm21(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     h = _graph_param(p, "h")
     f = _graph_param(p, "f")
     k = int(p["k"])
@@ -220,10 +215,8 @@ def _run_thm21(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
                               f"got k={k}, |V(H)|={h.n}")
     if f.edge_count() == 0:
         raise HypothesisError("forbidden pattern must have an edge")
-    ps = _params_str(p)
-    rows, notes = [], []
     kf = copies(k, f)
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         if n - k + 1 < 1:
             continue
         inner = _brute(n - k + 1, (f,), Objective.exbar(h), cfg)
@@ -231,23 +224,18 @@ def _run_thm21(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         if g_star is None or inner.value is None:
             continue
         built = cons.universal_join(k, g_star)
-        rows.append(_free_row(cid, n, ps, built, k, f, f"{k}F"))
+        yield _free_row(n, is_kF_free(built, k, f), f"{k}F")
         built_count = count_copies(built, h)
-        ok = built_count >= inner.value - 1
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={inner.value - 1}",
-                             str(built_count),
-                             PASS if ok else (FAIL if inner.exhaustive else INCONCLUSIVE)))
+        yield _floor_row(n, built_count, inner.value - 1, inner.exhaustive)
         oracle = _brute(n, (kf,), _copies_objective(h), cfg)
-        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
+        yield _oracle_row(n, oracle, built_count)
         outer = _brute(n, (f,), Objective.exbar(h), cfg)
         if oracle.value is not None and outer.value:
-            rows.append(_ratio_row(cid, n, ps, "bounded-multiple",
-                                   [("oracle/induced_total",
-                                     oracle.value / outer.value)]))
-    return rows, notes
+            yield _ratio_row(n, "bounded-multiple",
+                             [("oracle/induced_total", oracle.value / outer.value)])
 
 
-def _run_thm22(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_thm22(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     f1 = _graph_param(p, "f1")
     f2 = _graph_param(p, "f2")
     k3 = complete(3)
@@ -256,10 +244,8 @@ def _run_thm22(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
             raise HypothesisError(f"{name} must differ from a single edge")
         if fi.edge_count() == 0:
             raise HypothesisError(f"{name} must be non-empty")
-    ps = _params_str(p)
-    rows, notes = [], []
     f = disjoint_union(f1, f2)
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         oracle = _brute(n, (f,), _copies_objective(k3), cfg)
         if oracle.value is None:
             continue
@@ -269,47 +255,37 @@ def _run_thm22(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
             if r.value is not None:
                 best_single = r.value if best_single is None else max(best_single, r.value)
         if best_single is not None:
-            rows.append(_oracle_row(cid, n, ps, oracle, best_single))
+            yield _oracle_row(n, oracle, best_single)
         if n >= 2:
             pair = _brute(n - 1, (f1, f2), Objective.edges(), cfg)
             g0 = _witness_graph(pair)
             if g0 is not None and pair.value is not None:
                 built = cons.universal_join(2, g0)
-                ok = is_free(built, f)
-                rows.append(CheckRow(cid, n, ps, FREE, "union-free",
-                                     "free" if ok else "not-free",
-                                     PASS if ok else FAIL))
+                yield _free_row(n, is_free(built, f), "union")
                 built_count = count_copies(built, k3)
-                ok2 = built_count >= pair.value
-                rows.append(CheckRow(cid, n, ps, LOWER, f">={pair.value}",
-                                     str(built_count),
-                                     PASS if ok2 else (FAIL if pair.exhaustive else INCONCLUSIVE)))
-                rows.append(_oracle_row(cid, n, ps, oracle, built_count))
-    return rows, notes
+                yield _floor_row(n, built_count, pair.value, pair.exhaustive)
+                yield _oracle_row(n, oracle, built_count)
 
 
-def _run_thm24(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_thm24(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     f = _graph_param(p, "f")
     k = int(p["k"])
     if f.n < 4:
         raise HypothesisError(f"needs |V(F)| >= 4, got {f.n}")
     if k < 2:
         raise HypothesisError("needs k >= 2")
-    ps = _params_str(p)
-    rows, notes = [], []
     k3 = complete(3)
     kf = copies(k, f)
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         if n - k + 1 < 1:
             continue
         star = _brute(n - k + 1, (f,), Objective.exstar(k), cfg)
         oracle = _brute(n, (kf,), _copies_objective(k3), cfg)
         if star.value is None or oracle.value is None:
             continue
-        rows.append(CheckRow(cid, n, ps, SANDWICH, f"<={oracle.value}",
-                             str(star.value),
-                             _verdict_leq(star.value, star.exhaustive,
-                                          oracle.value, oracle.exhaustive)))
+        yield (n, SANDWICH, f"<={oracle.value}", star.value,
+               _verdict_leq(star.value, star.exhaustive,
+                            oracle.value, oracle.exhaustive))
         # definitional sandwich: triangle max <= star max <= (k-1)*edge max + triangle max
         tri = _brute(n - k + 1, (f,), _copies_objective(k3), cfg)
         edg = _brute(n - k + 1, (f,), Objective.edges(), cfg)
@@ -320,21 +296,17 @@ def _run_thm24(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
                                  tri.exhaustive and edg.exhaustive)
             verdict = FAIL if FAIL in (lo_ok, hi_ok) else (
                 INCONCLUSIVE if INCONCLUSIVE in (lo_ok, hi_ok) else PASS)
-            rows.append(CheckRow(cid, n, ps, SANDWICH,
-                                 f"{tri.value}..{hi}", str(star.value), verdict))
-    return rows, notes
+            yield n, SANDWICH, f"{tri.value}..{hi}", star.value, verdict
 
 
-def _run_thm27(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_thm27(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     r = int(p["r"])
     f = _graph_param(p, "f")
     k = int(p["k"])
     if r < 2 or k < 1 or f.edge_count() == 0:
         raise HypothesisError("needs r >= 2, k >= 1 and a non-empty pattern")
-    ps = _params_str(p)
-    rows, notes = [], []
     kf = copies(k, f)
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         per_m = []
         for m in range(1, r + 1):
             res = _brute(n, (f,), _copies_objective(complete(m)), cfg)
@@ -343,103 +315,85 @@ def _run_thm27(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         best = max(values)
         m0 = values.index(best) + 1
         if k <= r - m0:
-            notes.append(f"n={n}: k={k} <= r-m0={r - m0}, construction skipped")
-            continue
+            continue  # the construction needs k > r - m0
         inner = _brute(n - (r - m0), (f,), _copies_objective(complete(m0)), cfg)
         g_star = _witness_graph(inner)
         if g_star is None or inner.value is None:
             continue
         built = cons.universal_join(r - m0 + 1, g_star)
-        rows.append(_free_row(cid, n, ps, built, k, f, f"{k}F"))
+        yield _free_row(n, is_kF_free(built, k, f), f"{k}F")
         built_count = count_copies(built, complete(r))
-        ok = built_count >= inner.value
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={inner.value}",
-                             str(built_count),
-                             PASS if ok else (FAIL if inner.exhaustive else INCONCLUSIVE)))
+        yield _floor_row(n, built_count, inner.value, inner.exhaustive)
         oracle = _brute(n, (kf,), _copies_objective(complete(r)), cfg)
-        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
-    return rows, notes
+        yield _oracle_row(n, oracle, built_count)
 
 
-def _run_thm32(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_thm32(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     s, t, k = int(p["s"]), int(p["t"]), int(p["k"])
     x = cons.x_exponent(k, t, s)
     if x < 1:
         raise HypothesisError(f"construction regime needs exponent >= 1, got {x}")
-    ps = _params_str(p)
-    rows, notes = [], []
     kt_pattern = complete(t)
     kf = copies(k, kt_pattern)
     budget = s + (k - 1) * x
-    rows.append(CheckRow(cid, n_range[0], ps, FREE, f"<={k * t - 1}",
-                         str(budget), PASS if budget < k * t else FAIL))
-    for n in range(n_range[0], n_range[1] + 1):
+    yield ns[0], FREE, f"<={k * t - 1}", budget, _verdict(budget < k * t, True)
+    for n in ns:
         if n < s:
             continue
         built = cons.thm32_lower(n, s, t, k)
-        rows.append(_free_row(cid, n, ps, built, k, kt_pattern, f"{k}K{t}"))
-        inner = cons.turan_clique_count(n - s + x, x, x)
+        yield _free_row(n, is_kF_free(built, k, kt_pattern), f"{k}K{t}")
         built_count = count_copies(built, complete(s))
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={inner}", str(built_count),
-                             PASS if built_count >= inner else FAIL))
+        yield _floor_row(n, built_count, cons.turan_clique_count(n - s + x, x, x))
         oracle = _brute(n, (kf,), _copies_objective(complete(s)), cfg)
-        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
+        yield _oracle_row(n, oracle, built_count)
         if oracle.value is not None:
-            rows.append(_ratio_row(cid, n, ps, f"Theta(n^{x})",
-                                   [("oracle", oracle.value / n ** x),
-                                    ("construction", built_count / n ** x)]))
-    return rows, notes
+            yield _ratio_row(n, f"Theta(n^{x})",
+                             [("oracle", oracle.value / n ** x),
+                              ("construction", built_count / n ** x)])
 
 
-def _run_thm34(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_thm34(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     s, t, k = int(p["s"]), int(p["t"]), int(p["k"])
     if not (t > s >= 1) or k < 1:
         raise HypothesisError(f"needs t > s >= 1 and k >= 1, got s={s}, t={t}, k={k}")
-    ps = _params_str(p)
-    rows, notes = [], []
     kf = copies(k, complete(t))
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         if n < t - 1:
             continue
         built = turan(n, t - 1)
-        rows.append(_free_row(cid, n, ps, built, k, complete(t), f"{k}K{t}"))
+        yield _free_row(n, is_kF_free(built, k, complete(t)), f"{k}K{t}")
         lower = cons.turan_clique_count(n, t - 1, s)
         oracle = _brute(n, (kf,), _copies_objective(complete(s)), cfg)
-        rows.append(_oracle_row(cid, n, ps, oracle, lower))
+        yield _oracle_row(n, oracle, lower)
         if oracle.value is not None:
             asym = comb(t - 1, s) * (n / (t - 1)) ** s
-            rows.append(_ratio_row(cid, n, ps, f"to-asymptote(n^{s})",
-                                   [("oracle/asym", oracle.value / asym)]))
-    return rows, notes
+            yield _ratio_row(n, f"to-asymptote(n^{s})",
+                             [("oracle/asym", oracle.value / asym)])
 
 
-def _run_thm35(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_thm35(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     s, t, k = int(p["s"]), int(p["t"]), int(p["k"])
     if not (s >= t >= s - k + 2) or t < 2:
         raise HypothesisError(f"needs s >= t >= s-k+2 and t >= 2, got s={s}, t={t}, k={k}")
-    ps = _params_str(p)
-    rows, notes = [], []
     kf = copies(k, complete(t))
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         if n < k or n - k + 1 < t - 1:
             continue
         built = cons.thm35_lower(n, t, k)
-        rows.append(_free_row(cid, n, ps, built, k, complete(t), f"{k}K{t}"))
+        yield _free_row(n, is_kF_free(built, k, complete(t)), f"{k}K{t}")
         leading = cons.thm35_leading(n, s, t, k)
         universal = (1 << (k - 1)) - 1
         meeting = count_copies_meeting(built, complete(s), universal, s - t + 1)
-        rows.append(CheckRow(cid, n, ps, EXACT, str(leading), str(meeting),
-                             PASS if meeting == leading else FAIL))
+        yield n, EXACT, leading, meeting, _verdict(meeting == leading, True)
         oracle = _brute(n, (kf,), _copies_objective(complete(s)), cfg)
-        rows.append(_oracle_row(cid, n, ps, oracle, leading))
+        yield _oracle_row(n, oracle, leading)
         if oracle.value is not None:
             asym = comb(k - 1, s - t + 1) * (n / (t - 1)) ** (t - 1)
-            rows.append(_ratio_row(cid, n, ps, f"to-asymptote(n^{t - 1})",
-                                   [("oracle/asym", oracle.value / asym)]))
-    return rows, notes
+            yield _ratio_row(n, f"to-asymptote(n^{t - 1})",
+                             [("oracle/asym", oracle.value / asym)])
 
 
-def _run_cycles(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_cycles(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     """Shared runner for the odd/even forbidden-cycle claims."""
     r, k, l = int(p["r"]), int(p["k"]), int(p["l"])
     odd = p["parity"] == "odd"
@@ -450,12 +404,10 @@ def _run_cycles(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         raise HypothesisError(f"this regime needs r <= k, got r={r}, k={k}")
     if cid == "thm4.1b" and r <= k + 1:
         raise HypothesisError(f"this regime needs r > k+1, got r={r}, k={k}")
-    ps = _params_str(p)
-    rows, notes = [], []
     cyc = cycle(length)
     kf = copies(k, cyc)
     exponent = 2.0 if (odd and r <= k) else 1 + 1 / l
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         oracle = _brute(n, (kf,), _copies_objective(complete(r)), cfg)
         if oracle.value is None:
             continue
@@ -464,25 +416,21 @@ def _run_cycles(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
             g_star = _witness_graph(inner)
             if g_star is not None:
                 built = cons.universal_join(k, g_star)
-                rows.append(_free_row(cid, n, ps, built, k, cyc, f"{k}C{length}"))
-                built_count = count_copies(built, complete(r))
-                rows.append(_oracle_row(cid, n, ps, oracle, built_count))
-        rows.append(_ratio_row(cid, n, ps, f"O(n^{exponent:.2f})",
-                               [("oracle", oracle.value / n ** exponent)]))
-    return rows, notes
+                yield _free_row(n, is_kF_free(built, k, cyc), f"{k}C{length}")
+                yield _oracle_row(n, oracle, count_copies(built, complete(r)))
+        yield _ratio_row(n, f"O(n^{exponent:.2f})",
+                         [("oracle", oracle.value / n ** exponent)])
 
 
-def _run_prop51(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_prop51(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     a, b, s, t = int(p["a"]), int(p["b"]), int(p["s"]), int(p["t"])
     k = int(p.get("k", 1))
     if not (s <= t and a <= b < s):
         raise HypothesisError(f"needs s <= t and a <= b < s, got a={a}, b={b}, s={s}, t={t}")
-    ps = _params_str(p)
-    rows, notes = [], []
     forb = copies(k, complete_bipartite(s, t))
     pattern = complete_bipartite(a, b)
     exponent = a + b - a * b / s
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         oracle = _brute(n, (forb,), _copies_objective(pattern), cfg)
         if oracle.value is None:
             continue
@@ -490,24 +438,21 @@ def _run_prop51(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
             single = _brute(n, (complete_bipartite(s, t),),
                             _copies_objective(pattern), cfg)
             if single.value is not None:
-                rows.append(_oracle_row(cid, n, ps, oracle, single.value))
-        rows.append(_ratio_row(cid, n, ps, f"O(n^{exponent:.3f})",
-                               [("oracle", oracle.value / n ** exponent)]))
-    return rows, notes
+                yield _oracle_row(n, oracle, single.value)
+        yield _ratio_row(n, f"O(n^{exponent:.3f})",
+                         [("oracle", oracle.value / n ** exponent)])
 
 
-def _run_prop53(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_prop53(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     a, b, s, t, k = int(p["a"]), int(p["b"]), int(p["s"]), int(p["t"]), int(p["k"])
     if not (a <= b and b >= s and s <= t):
         raise HypothesisError(f"needs a <= b, b >= s, s <= t, got a={a}, b={b}, s={s}, t={t}")
     if k <= a:
         raise HypothesisError(f"the matching lower bound needs k > a, got k={k}, a={a}")
-    ps = _params_str(p)
-    rows, notes = [], []
     kst = complete_bipartite(s, t)
     forb = copies(k, kst)
     pattern = complete_bipartite(a, b)
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         if n - k + 1 < b:
             continue
         host = _brute(n - k + 1, (kst,), Objective.edges(), cfg)
@@ -515,132 +460,103 @@ def _run_prop53(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
         if g_star is None:
             continue
         built = cons.universal_join(k, g_star)
-        rows.append(_free_row(cid, n, ps, built, k, kst, f"{k}K{s},{t}"))
-        floor_count = comb(k - 1, a) * comb(n - k + 1, b)
+        yield _free_row(n, is_kF_free(built, k, kst), f"{k}K{s},{t}")
         built_count = count_copies(built, pattern)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={floor_count}",
-                             str(built_count),
-                             PASS if built_count >= floor_count else FAIL))
+        yield _floor_row(n, built_count, comb(k - 1, a) * comb(n - k + 1, b))
         oracle = _brute(n, (forb,), _copies_objective(pattern), cfg)
-        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
+        yield _oracle_row(n, oracle, built_count)
         if oracle.value is not None:
-            rows.append(_ratio_row(cid, n, ps, f"Theta(n^{b})",
-                                   [("oracle", oracle.value / n ** b)]))
-    return rows, notes
+            yield _ratio_row(n, f"Theta(n^{b})", [("oracle", oracle.value / n ** b)])
 
 
-def _run_prop54(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_prop54(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     variant = str(p.get("variant", "b"))
     a, b, s, t = int(p["a"]), int(p["b"]), int(p["s"]), int(p["t"])
-    ps = _params_str(p)
-    rows, notes = [], []
     kst = complete_bipartite(s, t)
     pattern = complete_bipartite(a, b)
     if variant == "a":
         if not (s <= a <= b <= t):
             raise HypothesisError(f"variant a needs s <= a <= b <= t, got {p}")
-        for n in range(n_range[0], n_range[1] + 1):
+        for n in ns:
             oracle = _brute(n, (kst,), _copies_objective(pattern), cfg)
-            if oracle.value is None:
-                continue
-            rows.append(_ratio_row(cid, n, ps, f"O(n^{s})",
-                                   [("oracle", oracle.value / n ** s)]))
-        return rows, notes
+            if oracle.value is not None:
+                yield _ratio_row(n, f"O(n^{s})", [("oracle", oracle.value / n ** s)])
+        return
     if not (a < s <= b <= t):
         raise HypothesisError(f"variant b needs a < s <= b <= t, got {p}")
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         if n <= s:
             continue
         built = cons.prop54_lower(n, s)
-        ok = is_free(built, kst)
-        rows.append(CheckRow(cid, n, ps, FREE, f"K{s},{t}-free",
-                             "free" if ok else "not-free", PASS if ok else FAIL))
+        yield _free_row(n, is_free(built, kst), f"K{s},{t}")
         floor_count = comb(s - 1, a) * comb(n - s + 1, b) if s - 1 >= a else 0
         built_count = count_copies(built, pattern)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={floor_count}",
-                             str(built_count),
-                             PASS if built_count >= floor_count else FAIL))
+        yield _floor_row(n, built_count, floor_count)
         oracle = _brute(n, (kst,), _copies_objective(pattern), cfg)
-        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
+        yield _oracle_row(n, oracle, built_count)
         if oracle.value is not None:
-            rows.append(_ratio_row(cid, n, ps, f"Theta(n^{b})",
-                                   [("oracle", oracle.value / n ** b)]))
-    return rows, notes
+            yield _ratio_row(n, f"Theta(n^{b})", [("oracle", oracle.value / n ** b)])
 
 
-def _run_prop61(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_prop61(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     l = int(p["l"])
     if l < 1:
         raise HypothesisError("needs l >= 1")
-    ps = _params_str(p)
-    rows, notes = [], []
     k3 = complete(3)
     pattern = copies(l, complete(2)) if l > 1 else complete(2)
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         if n < 2 * l:
             continue
         expected = cons.prop61_value(n, l)
         oracle = _brute(n, (k3,), _copies_objective(pattern), cfg)
         ok = oracle.exhaustive and oracle.value == expected
-        rows.append(CheckRow(cid, n, ps, EXACT, str(expected), str(oracle.value),
-                             PASS if ok else (FAIL if oracle.exhaustive else INCONCLUSIVE)))
-    return rows, notes
+        yield n, EXACT, expected, oracle.value, _verdict(ok, oracle.exhaustive)
 
 
-def _run_thm62(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_thm62(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     l, k = int(p["l"]), int(p["k"])
     if not l < k:
         raise HypothesisError(f"needs l < k, got l={l}, k={k}")
-    ps = _params_str(p)
-    rows, notes = [], []
     k3 = complete(3)
     kf = copies(k, k3)
     pattern = copies(l, k3) if l > 1 else k3
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         if n < k + 1:
             continue
         built = cons.thm62_lower(n, k)
-        rows.append(_free_row(cid, n, ps, built, k, k3, f"{k}K3"))
+        yield _free_row(n, is_kF_free(built, k, k3), f"{k}K3")
         m = n - k + 1
-        bip = complete_bipartite(m // 2, (m + 1) // 2) if m >= 2 else None
-        if bip is None:
+        if m < 2:
             continue
+        bip = complete_bipartite(m // 2, (m + 1) // 2)
         match_pattern = copies(l, complete(2)) if l > 1 else complete(2)
         leading = comb(k - 1, l) * count_copies(bip, match_pattern)
         built_count = count_copies(built, pattern)
-        rows.append(CheckRow(cid, n, ps, LOWER, f">={leading}", str(built_count),
-                             PASS if built_count >= leading else FAIL))
+        yield _floor_row(n, built_count, leading)
         oracle = _brute(n, (kf,), _copies_objective(pattern), cfg)
-        rows.append(_oracle_row(cid, n, ps, oracle, built_count))
+        yield _oracle_row(n, oracle, built_count)
         if oracle.value is not None:
-            rows.append(_ratio_row(cid, n, ps, f"to-asymptote((n^2/4)^{l})",
-                                   [("oracle/asym",
-                                     oracle.value / (comb(k - 1, l) * (n * n / 4) ** l))]))
-    return rows, notes
+            yield _ratio_row(n, f"to-asymptote((n^2/4)^{l})",
+                             [("oracle/asym",
+                               oracle.value / (comb(k - 1, l) * (n * n / 4) ** l))])
 
 
-def _run_prop63(cid: str, p: dict, n_range: tuple[int, int], cfg: VerifyConfig):
+def _run_prop63(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     f1 = _graph_param(p, "f1")
     f2 = _graph_param(p, "f2")
     if f1.edge_count() == 0 or f2.edge_count() == 0:
         raise HypothesisError("components must be non-empty")
-    ps = _params_str(p)
-    rows, notes = [], []
     f = disjoint_union(f1, f2)
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in ns:
         whole = _brute(n, (f,), Objective.edges(), cfg)
         parts = [_brute(n, (fi,), Objective.edges(), cfg) for fi in (f1, f2)]
         if whole.value is None or any(r.value is None for r in parts):
             continue
         best = max(r.value for r in parts)
-        rows.append(_oracle_row(cid, n, ps, whole, best))
+        yield _oracle_row(n, whole, best)
         certified = whole.exhaustive and all(r.exhaustive for r in parts)
         diff = whole.value - best
-        ok = diff <= 3 * n
-        rows.append(CheckRow(cid, n, ps, SANDWICH, f"<={3 * n}", str(diff),
-                             PASS if ok and certified else
-                             (INCONCLUSIVE if not certified else FAIL)))
-    return rows, notes
+        yield n, SANDWICH, f"<={3 * n}", diff, _verdict(diff <= 3 * n and certified, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +655,12 @@ def run_check(check_id: str, params: dict | None = None,
     rng = n_range if n_range is not None else cdef.default_range
     if rng[0] > rng[1] or rng[0] < 1:
         raise ValueError(f"bad n range {rng}")
-    cfg = config or VerifyConfig()
-    rows, notes = cdef.runner(resolved, merged, rng, cfg)
-    return TheoremCheck(resolved, merged, rng, rows, notes)
+    ps = _params_str(merged)
+    ns = range(rng[0], rng[1] + 1)
+    rows = [CheckRow(resolved, n, ps, mode, str(expected), str(actual), verdict)
+            for n, mode, expected, actual, verdict
+            in cdef.runner(resolved, merged, ns, config or VerifyConfig())]
+    return TheoremCheck(resolved, merged, rng, rows)
 
 
 def _run_check_task(args: tuple) -> TheoremCheck:

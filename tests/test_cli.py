@@ -181,3 +181,32 @@ def test_witness_cap_command_line_then_file_then_default(capsys, tmp_path, monke
         code, _, _ = run_cli(capsys, "verify", "erdos", *argv)
         assert code == 0
     assert caps == [16, 3, 16]
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["search", "edges", "--n", "5", "--forbid", "K3", "--witness-cap", "-1"],
+     "--witness-cap"),
+    (["search", "edges", "--n", "5", "--forbid", "K3", "--witness-cap", "0"],
+     "--witness-cap"),
+    (["search", "edges", "--n", "5", "--forbid", "K3", "--shards", "0"], "--shards"),
+    (["verify", "erdos", "--n-range", "5..5", "--witness-cap", "0"], "--witness-cap"),
+    (["verify", "all", "--n-range", "5..5", "--workers", "0"], "--workers"),
+    (["verify", "all", "--n-range", "5..5", "--workers", "-3"], "--workers"),
+])
+def test_counts_below_one_usage_error(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {option}: expected an integer >= 1" in err
+
+
+@pytest.mark.parametrize("line,key", [
+    ("witness-cap=0", "witness-cap"), ("workers=-3", "workers"),
+    ("budget-seconds=abc", "budget-seconds"), ("max-explored=1.5", "max-explored"),
+])
+def test_config_bad_value_usage_error(capsys, tmp_path, line, key):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "verify", "erdos", "--n-range", "5..5",
+                             "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"bad value for config key {key!r}" in err

@@ -1,8 +1,10 @@
-"""The benchmark's span wrappers still find every name they wrap."""
+"""The benchmark still runs: its self-test passes and its span wrappers
+still find every name they wrap."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +29,11 @@ def test_install_spans_names_resolve(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     workloads.install_spans(_LookupTracer())
+
+
+def test_selftest_passes():
+    # The benchmark's own self-test: every gate, metric and pinned digest.
+    root = WORKLOADS.parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

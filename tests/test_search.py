@@ -151,6 +151,15 @@ def test_witness_cap_and_exact_class_count():
     assert r.witnesses == tuple(sorted(r.witnesses))
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_witness_cap_below_one_rejected(cap):
+    problem = SearchProblem(5, (K3,), Objective.edges())
+    with pytest.raises(ValueError, match="witness_cap must be >= 1"):
+        brute_force_ex(problem, witness_cap=cap, use_cache=False)
+    with pytest.raises(ValueError, match="witness_cap must be >= 1"):
+        merge([brute_force_ex(problem)], witness_cap=cap)
+
+
 def test_budget_marks_non_exhaustive():
     r = brute_force_ex(SearchProblem(6, (), Objective.edges()),
                        max_explored=10, use_cache=False)

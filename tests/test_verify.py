@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from genturan import verify
 from genturan.verify import (CSV_HEADER, FAIL, HypothesisError, PASS,
                              REPORTED, TheoremCheck, UnknownCheckError,
                              VerifyConfig, check_summary, emit_report,
                              registry_ids, report_csv, report_table,
-                             run_check)
+                             run_all, run_check)
 
 EXPECTED_IDS = {
     "erdos", "thm1.1-gorgol", "thm2.1", "thm2.2", "thm2.4", "thm2.7",
@@ -86,6 +89,33 @@ def test_budgeted_check_reports_inconclusive_not_fail():
     verdicts = {r.verdict for r in chk.rows}
     assert FAIL not in verdicts
     assert "inconclusive" in verdicts
+
+
+@pytest.mark.parametrize("cid", registry_ids())
+def test_budgeted_checks_never_fail(cid):
+    # A partial search must never turn into a fail verdict, for any check.
+    lo = verify._REGISTRY[cid].default_range[0]
+    for max_explored in (1, 3):
+        chk = run_check(cid, None, (lo, lo + 1),
+                        VerifyConfig(max_explored=max_explored))
+        assert FAIL not in {r.verdict for r in chk.rows}
+
+
+@pytest.mark.parametrize("cid", ["thm1.1-gorgol", "prop6.3"])
+def test_uncertified_upper_bounds_inconclusive(cid):
+    # A partial maximum is only a lower bound, so it cannot pass an upper bound.
+    lo = verify._REGISTRY[cid].default_range[0]
+    chk = run_check(cid, None, (lo, lo), VerifyConfig(max_explored=1))
+    sandwich = [r.verdict for r in chk.rows if r.mode == "Sandwich"]
+    assert sandwich and set(sandwich) == {"inconclusive"}
+
+
+def test_run_all_csv_pinned():
+    # Any change to a row's cells, its order or its verdict changes the digest.
+    text = report_csv(run_all(None, (5, 7)))
+    assert len(text.splitlines()) == 1 + 153
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4ddd897fdd2e9af009d954eb02dbc83d069f2a8936c892d65d8f5a4988c31c30")
 
 
 def test_report_csv_deterministic_and_ordered():
