@@ -64,19 +64,27 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"bad n-range {text!r}; expected a..b") from err
 
 
-def _positive_int(text: str) -> int:
-    """A witness cap, worker count or shard count: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _at_least(kind, low):
+    """Parser of a `kind` (int or float) value >= low; NaN is rejected."""
+    noun = "an integer" if kind is int else "a number"
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= low:
+            raise argparse.ArgumentTypeError(f"expected {noun} >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _at_least(int, 1)  # witness caps, worker and shard counts
+_explored_cap = _at_least(int, 0)  # --max-explored
+_seconds = _at_least(float, 0)     # --budget-seconds
 
 # Each verify setting and the parser of its value.
-CONFIG_KEYS = {"budget-seconds": float, "max-explored": int,
+CONFIG_KEYS = {"budget-seconds": _seconds, "max-explored": _explored_cap,
                "witness-cap": _positive_int, "workers": _positive_int}
 
 
@@ -322,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--shards", type=_positive_int, default=1)
     p.add_argument("--witness-cap", type=_positive_int, default=DEFAULT_WITNESS_CAP)
-    p.add_argument("--budget-seconds", type=float)
-    p.add_argument("--max-explored", type=int)
+    p.add_argument("--budget-seconds", type=_seconds)
+    p.add_argument("--max-explored", type=_explored_cap)
     p.add_argument("--force", action="store_true",
                    help=f"lift the default host-size cap of {DEFAULT_N_CAP}")
     p.set_defaults(fn=_cmd_search)
@@ -343,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--witness-cap", type=_positive_int,
                    help=f"default: the config file's, else {DEFAULT_WITNESS_CAP}")
-    p.add_argument("--budget-seconds", type=float)
-    p.add_argument("--max-explored", type=int)
+    p.add_argument("--budget-seconds", type=_seconds)
+    p.add_argument("--max-explored", type=_explored_cap)
     p.add_argument("--config", help="plain key=value config file; keys: "
                                     + ", ".join(CONFIG_KEYS))
     p.add_argument("--workers", type=_positive_int,

@@ -13,16 +13,17 @@ already-mapped neighbors, so candidate sets shrink to neighborhood
 intersections as early as possible.  The same search counts copies and
 induced copies, stops at a first hit for freeness tests, counts copies by
 how they meet a vertex set, pins a pattern vertex to an anchor for the
-enumerator's incremental prune, collects copy vertex sets for packing, and
-counts automorphisms as the injective maps of a graph into itself.
+enumerator's incremental prune, and collects copy vertex sets for packing.
+|Aut(H)| and the pattern's vertex orbits come from the graphs module's
+canonical search.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import (Graph, VerificationError, _rooted_cert, automorphism_count,
-                     canonical_cert, empty_graph)
+from .graphs import (Graph, VerificationError, _orbit_representatives,
+                     automorphism_count, canonical_cert, empty_graph)
 
 
 _Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
@@ -64,20 +65,6 @@ def _pattern_plan(h: Graph, first: int | None = None, induced: bool = False) -> 
                            if not h.adj[v] >> u & 1 and pos_of[u] < i)
                      for i, v in enumerate(order))
     return tuple(order), backs, nons
-
-
-@lru_cache(maxsize=1024)
-def _orbit_representatives(h: Graph) -> tuple[int, ...]:
-    """One vertex of each orbit of Aut(h): the plans that pin one of them to
-    an anchor vertex find every copy through that anchor."""
-    reps: list[int] = []
-    seen: set[tuple[int, ...]] = set()
-    for v in range(h.n):
-        cert = _rooted_cert(h.adj, h.n, v)
-        if cert not in seen:
-            seen.add(cert)
-            reps.append(v)
-    return tuple(reps)
 
 
 def _anchored_plans(h: Graph) -> list[_Plan]:

@@ -6,15 +6,16 @@ operations.  On top of the representation this module provides the named
 constructors (complete, cycle, complete bipartite, Turan, join, disjoint
 union, k copies, vertex deletion) and the isomorphism machinery: a canonical
 form computed by equitable partition refinement plus backtracking with
-automorphism pruning, the vertex-orbit queries needed by the isomorphism-free
-enumerator, and automorphism counting, which runs the counting module's
-embedder on a graph and itself.
+automorphism pruning, and the isomorphism-free enumerator.  The canonical
+search also returns a complete generating set of the automorphism group;
+every vertex-orbit answer (the enumerator's deletion orbit, the counting
+module's anchor orbits) and the group order come from those generators.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
@@ -330,13 +331,11 @@ def _refine(adj: Sequence[int], cells: list[list[int]],
     return cells
 
 
-class _CanonResult:
-    __slots__ = ("cert", "order", "gens")
-
-    def __init__(self, cert: tuple[int, ...], order: list[int], gens: list[tuple[int, ...]]):
-        self.cert = cert
-        self.order = order
-        self.gens = gens
+class _CanonResult(NamedTuple):
+    cert: tuple[int, ...]
+    order: list[int]
+    gens: list[tuple[int, ...]]
+    first_path: list[int]
 
 
 def _leaf_cert(adj: Sequence[int], order: list[int]) -> tuple[int, ...]:
@@ -364,20 +363,29 @@ def _canon_search(adj: Sequence[int], n: int,
     returns it; by default the unit partition is refined.  Branches on the
     first smallest non-singleton cell; siblings equivalent under an
     already-discovered automorphism fixing the individualized prefix are
-    skipped.  Discovered automorphisms are returned (they are genuine
-    automorphisms, though not guaranteed to generate the full group).
+    skipped.
+
+    Every leaf is compared with the first leaf as well as with the best one
+    (McKay, "Practical graph isomorphism", 1981), so the returned `gens`
+    generate the whole automorphism group of the starting partition.  More:
+    along `first_path`, the vertices v1..vd individualized to reach the first
+    leaf, the generators fixing v1..vi generate the pointwise stabilizer of
+    v1..vi, for every i.
     """
     if n == 0:
-        return _CanonResult((), [], [])
+        return _CanonResult((), [], [], [])
     if cells is None:
         cells = _refine(adj, [list(range(n))])
 
+    first_cert: tuple[int, ...] | None = None
+    first_order: list[int] = []
+    first_path: list[int] = []
     best_cert: tuple[int, ...] | None = None
-    best_order: list[int] | None = None
+    best_order: list[int] = []
     gens: list[tuple[int, ...]] = []
 
     def search(cells: list[list[int]], fixed: list[int]) -> None:
-        nonlocal best_cert, best_order
+        nonlocal first_cert, first_order, first_path, best_cert, best_order
         target_idx = -1
         target_len = n + 1
         for i, c in enumerate(cells):
@@ -390,23 +398,34 @@ def _canon_search(adj: Sequence[int], n: int,
         if target_idx < 0:
             order = [c[0] for c in cells]
             cert = _leaf_cert(adj, order)
-            if best_cert is None or cert < best_cert:
+            if first_cert is None:
+                first_cert = best_cert = cert
+                first_order = best_order = order
+                first_path = list(fixed)
+            elif cert == first_cert or cert == best_cert:
+                # Equal certificates: the leaf-to-leaf map is an automorphism.
+                ref = first_order if cert == first_cert else best_order
+                sigma = [0] * n
+                for v, w in zip(ref, order):
+                    sigma[v] = w
+                gens.append(tuple(sigma))
+            elif cert < best_cert:  # type: ignore[operator]
                 best_cert = cert
                 best_order = order
-            elif cert == best_cert:
-                sigma = [0] * n
-                trivial = True
-                for i, v in enumerate(best_order):  # type: ignore[arg-type]
-                    sigma[v] = order[i]
-                    trivial = trivial and v == order[i]
-                if not trivial:
-                    gens.append(tuple(sigma))
             return
         target = cells[target_idx]
         processed: list[int] = []
+        usable: list[tuple[int, ...]] = []
+        scanned = 0
         for v in target:
-            if processed and _orbit_hits(v, processed, gens, fixed):
-                continue
+            if processed:
+                # Filter each generator once per node, as it is discovered.
+                for gen in gens[scanned:]:
+                    if all(gen[f] == f for f in fixed):
+                        usable.append(gen)
+                scanned = len(gens)
+                if usable and not _orbit(v, usable).isdisjoint(processed):
+                    continue
             processed.append(v)
             rest = [u for u in target if u != v]
             child = cells[:target_idx] + [[v], rest] + cells[target_idx + 1:]
@@ -416,30 +435,23 @@ def _canon_search(adj: Sequence[int], n: int,
             fixed.pop()
 
     search(cells, [])
-    if best_cert is None or best_order is None:
+    if best_cert is None:
         raise VerificationError("canonical search reached no leaf")
-    return _CanonResult(best_cert, best_order, gens)
+    return _CanonResult(best_cert, best_order, gens, first_path)
 
 
-def _orbit_hits(v: int, processed: list[int], gens: list[tuple[int, ...]],
-                fixed: list[int]) -> bool:
-    """True if some discovered automorphism fixing `fixed` maps v into `processed`."""
-    usable = [g for g in gens if all(g[f] == f for f in fixed)]
-    if not usable:
-        return False
-    hit = set(processed)
+def _orbit(v: int, gens: Sequence[tuple[int, ...]]) -> set[int]:
+    """The orbit of v under the group generated by `gens`."""
     seen = {v}
     stack = [v]
     while stack:
         u = stack.pop()
-        for g in usable:
-            w = g[u]
-            if w in hit:
-                return True
+        for gen in gens:
+            w = gen[u]
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return False
+    return seen
 
 
 def canonical_cert(g: Graph) -> tuple[int, ...]:
@@ -470,65 +482,47 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 @lru_cache(maxsize=4096)
 def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group: the number of injective
-    edge-preserving maps of g into itself.  Each such map is an automorphism,
-    since it maps the finite edge set injectively into itself, hence onto it.
+    """Order of the automorphism group, by the orbit-stabilizer theorem along
+    the canonical search's first path v1..vd: the product over i of the size
+    of the orbit of v(i+1) under the generators fixing v1..vi."""
+    res = _canon_search(g.adj, g.n)
+    count = 1
+    stab = res.gens
+    for v in res.first_path:
+        count *= len(_orbit(v, stab))
+        stab = [gen for gen in stab if gen[v] == v]
+    return count
 
-    Intended for small pattern graphs (say up to 12 vertices).
-    """
-    from .counting import count_injections  # counting builds on this module
-    return count_injections(g, g)
+
+@lru_cache(maxsize=1024)
+def _orbit_representatives(h: Graph) -> tuple[int, ...]:
+    """The least vertex of each orbit of Aut(h), ascending: the plans that
+    pin one of them to an anchor vertex find every copy through that anchor."""
+    gens = _canon_search(h.adj, h.n).gens
+    return tuple(v for v in range(h.n) if v == min(_orbit(v, gens)))
 
 
 # ---------------------------------------------------------------------------
 # Isomorphism-free enumeration support
 # ---------------------------------------------------------------------------
 
-def _rooted_cert(adj: Sequence[int], n: int, root: int) -> tuple[int, ...]:
-    """Certificate with `root` forced into a final singleton cell.
-
-    Two vertices lie in the same automorphism orbit exactly when their rooted
-    certificates coincide.
-    """
-    rest = [u for u in range(n) if u != root]
-    cells: list[list[int]] = ([rest, [root]] if rest else [[root]])
-    return _canon_search(adj, n, _refine(adj, cells)).cert
-
-
 def _accept_child(adj: tuple[int, ...], n: int) -> tuple[int, ...] | None:
     """Canonical-deletion acceptance test for the enumerator.
 
     The new vertex is n-1 by construction.  Accept when n-1 lies in the
     designated deletion orbit: the orbit of the vertex occupying the last
-    canonical position.  Returns the canonical certificate when accepted
-    (the caller dedupes siblings with it), else None.  The equitable
-    partition refined here is the one the canonical search starts from.
+    canonical position, read from the search's complete generators.  Returns
+    the canonical certificate when accepted (the caller dedupes siblings
+    with it), else None.  The equitable partition refined here is the one
+    the canonical search starts from; its last cell holds that orbit.
     """
     cells = _refine(adj, [list(range(n))])
-    last = cells[-1]
     new = n - 1
-    if new not in last:
+    if new not in cells[-1]:
         return None
     res = _canon_search(adj, n, cells)
-    if len(last) == 1:
-        return res.cert
     w = res.order[-1]
-    if w == new:
-        return res.cert
-    # Fast path: a discovered automorphism already connects w and the new vertex.
-    if res.gens:
-        seen = {w}
-        stack = [w]
-        while stack:
-            u = stack.pop()
-            for gperm in res.gens:
-                x = gperm[u]
-                if x == new:
-                    return res.cert
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-    if _rooted_cert(adj, n, new) == _rooted_cert(adj, n, w):
+    if w == new or new in _orbit(w, res.gens):
         return res.cert
     return None
 

@@ -146,6 +146,10 @@ def brute_force_ex(problem: SearchProblem, *,
     the best value seen with exhaustive=False."""
     if witness_cap < 1:
         raise ValueError(f"witness_cap must be >= 1, got {witness_cap}")
+    if max_explored is not None and max_explored < 0:
+        raise ValueError(f"max_explored must be >= 0, got {max_explored}")
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
     if problem.n > n_cap:
         raise ValueError(f"host size {problem.n} exceeds the cap {n_cap}; "
                          "raise n_cap explicitly if you mean it")

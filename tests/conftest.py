@@ -5,10 +5,23 @@ paths so tests compare two unrelated computations."""
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
+import pytest
+
+import genturan
 from genturan.graphs import Graph, turan_part_sizes
+
+
+def package_env() -> dict[str, str]:
+    """The environment with PYTHONPATH led by the directory the tests import
+    genturan from, so a child Python process runs the same package."""
+    root = str(Path(genturan.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([root, rest] if rest else [root])}
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -80,6 +93,55 @@ def naive_automorphisms(g: Graph) -> int:
                for u in range(g.n) for v in range(u + 1, g.n)):
             count += 1
     return count if g.n else 1
+
+
+def naive_orbits(g: Graph) -> list[set[int]]:
+    """The orbit of each vertex under Aut(g): the images of that vertex over
+    every automorphism, each found by mapping vertex 0, 1, ... in turn to
+    every unused vertex that keeps the adjacencies to the earlier ones."""
+    orbits = [set() for _ in range(g.n)]
+    images: list[int] = []
+
+    def extend(used: int) -> None:
+        v = len(images)
+        if v == g.n:
+            for u, w in enumerate(images):
+                orbits[u].add(w)
+            return
+        for w in range(g.n):
+            if not used >> w & 1 and all(
+                    (g.adj[u] >> v & 1) == (g.adj[images[u]] >> w & 1)
+                    for u in range(v)):
+                images.append(w)
+                extend(used | 1 << w)
+                images.pop()
+
+    extend(0)
+    return orbits
+
+
+def registry_usage() -> tuple[list[tuple[Graph, ...]], list[Graph]]:
+    """The distinct forbidden families the verify registry searches, and the
+    patterns whose automorphisms or orbits its counting and freeness prune
+    read, recorded from one run of every check with a one-host budget."""
+    from genturan import counting, verify
+    families: dict[tuple[Graph, ...], None] = {}
+    patterns: dict[Graph, None] = {}
+
+    def recorded(real, seen, key):
+        def call(arg, **kwargs):
+            seen[key(arg)] = None
+            return real(arg, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "brute_force_ex", recorded(
+            verify.brute_force_ex, families, lambda problem: problem.forbidden))
+        for name in ("automorphism_count", "_orbit_representatives"):
+            mp.setattr(counting, name, recorded(
+                getattr(counting, name), patterns, lambda h: h))
+        verify.run_all(verify.VerifyConfig(max_explored=1))
+    return list(families), list(patterns)
 
 
 def naive_isomorphic(g: Graph, h: Graph) -> bool:

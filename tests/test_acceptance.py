@@ -27,7 +27,8 @@ from genturan.search import (Objective, SearchProblem, brute_force_ex,
                              exstar_brute, merge, shard)
 from genturan.verify import run_check
 
-from conftest import naive_count_copies, naive_max_packing, random_graph
+from conftest import (naive_count_copies, naive_max_packing, package_env,
+                      random_graph)
 
 K3 = complete(3)
 
@@ -221,7 +222,7 @@ def test_criterion_9_determinism(tmp_path):
         path = tmp_path / f"out{i}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "genturan.cli", "verify", "all",
-             "--csv", str(path)],
+             "--csv", str(path)], env=package_env(),
             capture_output=True, text=True, timeout=3600)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         csvs.append(path.read_bytes())

@@ -199,9 +199,29 @@ def test_counts_below_one_usage_error(capsys, argv, option):
     assert f"argument {option}: expected an integer >= 1" in err
 
 
+@pytest.mark.parametrize("argv,option,expected", [
+    (["search", "edges", "--n", "5", "--forbid", "K3", "--max-explored", "-1"],
+     "--max-explored", "an integer >= 0"),
+    (["search", "edges", "--n", "5", "--forbid", "K3", "--budget-seconds", "-1"],
+     "--budget-seconds", "a number >= 0"),
+    (["search", "edges", "--n", "5", "--forbid", "K3", "--budget-seconds", "nan"],
+     "--budget-seconds", "a number >= 0"),
+    (["verify", "erdos", "--n-range", "5..5", "--max-explored", "-5"],
+     "--max-explored", "an integer >= 0"),
+    (["verify", "erdos", "--n-range", "5..5", "--budget-seconds", "nan"],
+     "--budget-seconds", "a number >= 0"),
+])
+def test_negative_budget_usage_error(capsys, argv, option, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {option}: expected {expected}" in err
+
+
 @pytest.mark.parametrize("line,key", [
     ("witness-cap=0", "witness-cap"), ("workers=-3", "workers"),
     ("budget-seconds=abc", "budget-seconds"), ("max-explored=1.5", "max-explored"),
+    ("max-explored=-5", "max-explored"), ("budget-seconds=-1", "budget-seconds"),
+    ("budget-seconds=nan", "budget-seconds"),
 ])
 def test_config_bad_value_usage_error(capsys, tmp_path, line, key):
     cfg = tmp_path / "verify.cfg"

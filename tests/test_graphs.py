@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genturan.graphs import (Graph, are_isomorphic, automorphism_count,
+from genturan.counting import count_injections
+from genturan.graphs import (Graph, _canon_search, _orbit_representatives,
+                             are_isomorphic, automorphism_count,
                              canonical_form, canonical_graph, complete,
                              complete_bipartite, copies, cycle, delete_vertex,
-                             disjoint_union, empty_graph, from_edges, join,
-                             relabel, turan)
+                             disjoint_union, empty_graph, enumerate_graphs,
+                             from_edges, join, relabel, turan)
 
-from conftest import naive_automorphisms, naive_isomorphism_classes, random_graph
+from conftest import (naive_automorphisms, naive_isomorphism_classes,
+                      naive_orbits, random_graph, registry_usage)
 
 
 def test_graph_invariants_enforced():
@@ -132,6 +135,49 @@ def test_automorphism_counts_known():
 def test_automorphism_count_vs_brute_force(seed, n, p):
     g = random_graph(random.Random(seed), n, p)
     assert automorphism_count(g) == naive_automorphisms(g)
+
+
+def test_automorphism_count_vs_self_embeddings():
+    # The reference is the embedder: every injective edge-preserving map of
+    # a graph into itself is an automorphism.
+    rng = random.Random(8)
+    graphs = [empty_graph(8), copies(3, complete(3)), turan(12, 3), copies(2, cycle(5))]
+    graphs += [random_graph(rng, n, p) for n in range(8, 13) for p in (0.3, 0.5, 0.7)
+               for _ in range(3)]
+    for g in graphs:
+        assert automorphism_count(g) == count_injections(g, g), g.adj
+
+
+def _generated_orbits(n: int, gens) -> list[set[int]]:
+    """The orbit of each vertex under the group the permutations generate."""
+    orbits = [{v} for v in range(n)]
+    for gen in gens:
+        for v in range(n):
+            if gen[v] not in orbits[v]:
+                merged = orbits[v] | orbits[gen[v]]
+                for u in merged:
+                    orbits[u] = merged
+    return orbits
+
+
+def test_canon_search_generators_give_every_orbit():
+    rng = random.Random(6)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, relabel(g, perm)):
+                gens = _canon_search(h.adj, h.n).gens
+                assert _generated_orbits(h.n, gens) == naive_orbits(h)
+
+
+def test_orbit_representatives_of_registry_patterns():
+    _, patterns = registry_usage()
+    assert len(patterns) >= 8
+    for h in patterns:
+        orbits = naive_orbits(h)
+        assert _orbit_representatives(h) == tuple(
+            v for v in range(h.n) if v == min(orbits[v])), h
 
 
 def test_is_connected():

@@ -6,21 +6,25 @@ import itertools
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from genturan.constructions import erdos_value, prop61_value
 from genturan.counting import count_copies, is_family_free
 from genturan.graph6 import decode_graph6, encode_graph6
-from genturan.graphs import (canonical_form, canonical_graph, complete,
-                             complete_bipartite, copies, cycle, disjoint_union,
-                             enumerate_graphs, relabel, turan)
+from genturan.graphs import (automorphism_count, canonical_form,
+                             canonical_graph, complete, complete_bipartite,
+                             copies, cycle, disjoint_union, enumerate_graphs,
+                             relabel, turan)
 from genturan.search import (ExtremalResult, Objective, SearchProblem,
                              brute_force_ex, exbar_brute, exstar_brute, merge,
                              parse_problem, result_line, serialize_problem,
                              shard)
 
-from conftest import naive_isomorphism_classes, random_graph
+from conftest import (all_labeled_graphs, naive_isomorphism_classes, package_env,
+                      random_graph, registry_usage)
 
 K3 = complete(3)
 GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -75,6 +79,25 @@ PRUNE_FAMILIES = [
     (relabel(copies(2, K3), [0, 2, 4, 1, 3, 5]),),
     (relabel(_union(K3, cycle(4)), [6, 0, 3, 1, 5, 2, 4]),),
 ]
+
+
+def test_mass_formula_all_graphs():
+    # Orbit-stabilizer: the classes' labelled counts n!/|Aut| sum to the
+    # number of labelled graphs, so no class is missed or repeated.
+    for n in range(1, 8):
+        mass = sum(Fraction(factorial(n), automorphism_count(g))
+                   for g in enumerate_graphs(n))
+        assert mass == 2 ** comb(n, 2), n
+
+
+def test_mass_formula_registry_families():
+    labelled = list(all_labeled_graphs(6))
+    families, _ = registry_usage()
+    assert len(families) >= 8
+    for family in families:
+        mass = sum(Fraction(720, automorphism_count(g))
+                   for g in enumerate_graphs(6, family))
+        assert mass == sum(1 for g in labelled if is_family_free(g, family)), family
 
 
 def test_hereditary_pruning_equals_post_filter():
@@ -158,6 +181,14 @@ def test_witness_cap_below_one_rejected(cap):
         brute_force_ex(problem, witness_cap=cap, use_cache=False)
     with pytest.raises(ValueError, match="witness_cap must be >= 1"):
         merge([brute_force_ex(problem)], witness_cap=cap)
+
+
+@pytest.mark.parametrize("budget", [dict(max_explored=-1), dict(budget_seconds=-1),
+                                    dict(budget_seconds=float("nan"))])
+def test_negative_budget_rejected(budget):
+    problem = SearchProblem(5, (K3,), Objective.edges())
+    with pytest.raises(ValueError, match="must be >= 0"):
+        brute_force_ex(problem, use_cache=False, **budget)
 
 
 def test_budget_marks_non_exhaustive():
@@ -274,7 +305,7 @@ def test_witness_recheck_raises_under_optimize():
         "except VerificationError as err:",
         "    print('optimize', sys.flags.optimize, err)",
     ])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=package_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("optimize 1 witness")
