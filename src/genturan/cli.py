@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import constructions as cons
 from .counting import count_copies, is_family_free
@@ -229,16 +230,20 @@ def _build_objective(args) -> Objective:
 def _cmd_search(args) -> int:
     forbidden = tuple(_read_family(args.forbid)) if args.forbid else ()
     problem = SearchProblem(args.n, forbidden, _build_objective(args))
-    kwargs = dict(witness_cap=args.witness_cap,
-                  budget_seconds=args.budget_seconds,
-                  max_explored=args.max_explored,
-                  n_cap=max(args.n, DEFAULT_N_CAP) if args.force else DEFAULT_N_CAP)
-    if args.shards > 1:
-        pieces = shard(problem, args.shards)
-        result = merge([brute_force_ex(p, **kwargs) for p in pieces],
-                       witness_cap=args.witness_cap)
-    else:
-        result = brute_force_ex(problem, **kwargs)
+    n_cap = max(args.n, DEFAULT_N_CAP) if args.force else DEFAULT_N_CAP
+    # One budget for the whole run: each shard gets what the earlier ones left.
+    seconds, left = args.budget_seconds, args.max_explored
+    deadline = None if seconds is None else time.monotonic() + seconds
+    results = []
+    for piece in shard(problem, args.shards):
+        if deadline is not None:
+            seconds = max(0.0, deadline - time.monotonic())
+        results.append(brute_force_ex(piece, witness_cap=args.witness_cap,
+                                      budget_seconds=seconds, max_explored=left,
+                                      n_cap=n_cap))
+        if left is not None:
+            left -= results[-1].explored
+    result = merge(results, witness_cap=args.witness_cap)
     print(result_line(problem, result))
     return 0
 

@@ -210,18 +210,12 @@ def turan(n: int, r: int) -> Graph:
     sizes = turan_part_sizes(n, r)
     if n > MAX_VERTICES:
         raise ValueError(f"{n} vertices exceed {MAX_VERTICES}")
-    part_masks = []
-    start = 0
-    for s in sizes:
-        part_masks.append(((1 << s) - 1) << start)
-        start += s
     full = (1 << n) - 1
     adj = []
     start = 0
-    for mask in part_masks:
-        size = mask.bit_count()
-        adj.extend([full ^ mask] * size)
-        start += size
+    for s in sizes:
+        adj.extend([full ^ (((1 << s) - 1) << start)] * s)
+        start += s
     return Graph._make(n, tuple(adj))
 
 
@@ -528,8 +522,7 @@ def _accept_child(adj: tuple[int, ...], n: int) -> tuple[int, ...] | None:
 
 
 def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
-                     _roots: Sequence[Graph] | None = None,
-                     _root_level: int = 1) -> Iterator[Graph]:
+                     _roots: Sequence[Graph] | None = None) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of n-vertex graphs
     with no subgraph copy of any member of `forbidden`.
 
@@ -541,67 +534,59 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     child is tested before its canonical test, incrementally: it can contain
     a member only through its new vertex (see `packing.FreenessPrune`).
 
-    `_roots`/`_root_level` restart enumeration from mid-tree graphs; shards
-    of an extremal search use this to split the tree deterministically.
+    The walk starts from the 0-vertex graph, or from the mid-tree graphs
+    `_roots` (each checked in full for freeness; a root's level is its vertex
+    count, at most n); shards of an extremal search use this to split the
+    tree deterministically.
     """
     if n < 0:
         raise ValueError("negative vertex count")
-    from .packing import FreenessPrune  # packing builds on this module
+    # packing and counting build on this module
+    from .counting import is_family_free
+    from .packing import FreenessPrune
     prune = FreenessPrune(forbidden, n)
-    if n == 0:
-        g = empty_graph(0)
-        if prune.root_masks(g) is not None:
-            yield g
-        return
-    if _roots is None:
-        start = [empty_graph(1)]
-        level = 1
-    else:
-        start = list(_roots)
-        level = _root_level
+    start = [empty_graph(0)] if _roots is None else list(_roots)
+    if any(g.n > n for g in start):
+        raise ValueError(f"a root has more than n={n} vertices")
     for g in start:
-        masks = prune.root_masks(g)
-        if masks is None:
+        if not is_family_free(g, prune.members):
             continue
-        if level == n:
+        if g.n == n:
             yield g
         else:
-            yield from _descend(g, level, n, prune, masks)
+            yield from _descend(g, n, prune)
 
 
-def _descend(g: Graph, level: int, n: int, prune,
-             masks: tuple[list[int], ...]) -> Iterator[Graph]:
-    for child in _children(g, prune, masks):
-        if level + 1 == n:
+def _descend(g: Graph, n: int, prune) -> Iterator[Graph]:
+    for child in _children(g, prune):
+        if child.n == n:
             yield child
         else:
-            yield from _descend(child, level + 1, n, prune,
-                                prune.extend(child, masks))
+            yield from _descend(child, n, prune)
 
 
-def _children(g: Graph, prune, masks: tuple[list[int], ...]) -> Iterator[Graph]:
+def _children(g: Graph, prune) -> Iterator[Graph]:
     """Accepted family-free one-vertex extensions of g, one per child
     isomorphism class.
 
     Candidates run through the cheap filters first: the degree filter, then
-    the incremental freeness test of `prune` given the parent's copy `masks`,
-    and only then the canonical-deletion test."""
+    the incremental freeness test of `prune` against g's copy masks (found
+    once here, for all of g's children), and only then the canonical-deletion
+    test."""
     m = g.n
     adj = g.adj
-    degs = [row.bit_count() for row in adj]
     n = m + 1
+    # The deletion orbit lives in the maximum-degree class, so the new vertex
+    # must reach the child's maximum degree: the parent's maximum `top`, plus
+    # one when the new vertex joins a vertex of degree `top`.
+    degs = [row.bit_count() for row in adj]
+    top = max(degs, default=0)
+    top_mask = sum(1 << v for v, d in enumerate(degs) if d == top)
     free = prune.free if prune.members else None
+    masks = prune.masks(g)
     seen_certs: set[tuple[int, ...]] = set()
     for s in range(1 << m):
-        size = s.bit_count()
-        # The deletion orbit lives in the maximum-degree class, so the new
-        # vertex must reach the child's maximum degree.
-        rest_max = 0
-        for v in range(m):
-            d = degs[v] + (s >> v & 1)
-            if d > rest_max:
-                rest_max = d
-        if size < rest_max:
+        if s.bit_count() < top + (s & top_mask != 0):
             continue
         child_adj = []
         for v in range(m):

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, VerificationError, _bits, canonical_cert, component_masks
-from .counting import (_Plan, _anchored_plans, _inject, _pattern_plan, is_family_free,
-                       is_free)
+from .counting import _Plan, _anchored_plans, _inject, _pattern_plan, is_free
 
 
 @dataclass(frozen=True)
@@ -201,8 +200,8 @@ class FreenessPrune:
     * F = F1 u ... u Fr disconnected (such as kF): a copy M of some
       component through a, plus pairwise disjoint copies of the other
       components inside the parent that avoid M.  The parent's copies are
-      the vertex-set masks the enumeration carries down its current path,
-      one list per component type, extended for each child it descends into.
+      its copy masks (`masks`), one list per component type, found once per
+      parent and shared by all of its children.
 
     Members with more vertices than the enumerated n cannot occur and are
     dropped.
@@ -237,16 +236,14 @@ class FreenessPrune:
                 anchors.append((t, rest))
             self.unions.append((f.n, anchors))
 
-    def root_masks(self, g: Graph) -> tuple[list[int], ...] | None:
-        """The copy masks of a graph the enumeration starts from, or None
-        when it is not family-free (checked in full)."""
-        if not is_family_free(g, self.members):
-            return None
+    def masks(self, g: Graph) -> tuple[list[int], ...]:
+        """The copy masks of g: for each component type, the ascending vertex
+        sets spanning a copy of it."""
         return tuple(copy_vertex_sets(g, t) for t in self.types)
 
     def free(self, child: Graph, masks: tuple[list[int], ...]) -> bool:
         """Whether `child` is family-free, given that its parent (the child
-        minus its last vertex) is, with the parent's copy `masks`."""
+        minus its last vertex) is; `masks` are the parent's copy masks."""
         a = child.n - 1
         for size, plans in self.connected:
             if size > child.n:
@@ -266,13 +263,6 @@ class FreenessPrune:
                     if _packs(demands, parent & ~m):
                         return False
         return True
-
-    def extend(self, child: Graph, masks: tuple[list[int], ...]) -> tuple[list[int], ...]:
-        """The child's copy masks: the parent's plus the copies through the
-        child's new vertex (these sort after every parent mask)."""
-        a = child.n - 1
-        return tuple(old + copy_vertex_sets(child, t, anchor=a)
-                     for old, t in zip(masks, self.types))
 
 
 def _packs(demands: list[tuple[list[int], int, int]], avail: int) -> bool:

@@ -75,20 +75,18 @@ class SearchProblem:
     """An extremal question: maximize `objective` over n-vertex graphs with
     no subgraph copy of any member of `forbidden`.
 
-    `roots`/`root_level` restrict the search to the enumeration subtrees
-    hanging below the given graphs; shards are built this way."""
+    `roots` (graph6) restricts the search to the enumeration subtrees
+    hanging below the given graphs; a root's level is its vertex count, at
+    most n.  Shards are built this way."""
 
     n: int
     forbidden: tuple[Graph, ...]
     objective: Objective
     roots: tuple[str, ...] | None = None
-    root_level: int | None = None
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("negative host size")
-        if (self.roots is None) != (self.root_level is None):
-            raise ValueError("roots and root_level must be given together")
 
 
 @dataclass(frozen=True)
@@ -166,8 +164,7 @@ def brute_force_ex(problem: SearchProblem, *,
     collected: list[Graph] | None = None
     if problem.roots is not None:
         roots = [decode_graph6(r) for r in problem.roots]
-        stream = enumerate_graphs(problem.n, forbidden, _roots=roots,
-                                  _root_level=problem.root_level)
+        stream = enumerate_graphs(problem.n, forbidden, _roots=roots)
     else:
         host_key = (problem.n, _family_key(problem.forbidden))
         cached_hosts = _host_cache.get(host_key)
@@ -239,27 +236,25 @@ def exbar_brute(n: int, h: Graph, f: Graph, **kwargs) -> ExtremalResult:
 # Sharding
 # ---------------------------------------------------------------------------
 
-def shard(problem: SearchProblem, parts: int, depth: int | None = None) -> list[SearchProblem]:
+def shard(problem: SearchProblem, parts: int) -> list[SearchProblem]:
     """Split the enumeration tree at a fixed depth into `parts` subproblems.
 
-    Roots at the given depth are dealt round-robin, so the shard list is a
-    deterministic partition of the search space; merging the shard results
-    reproduces the unsharded result exactly."""
+    The classes at depth min(n - 1, 5) (0 for n = 0) are dealt round-robin
+    as roots, so the shard list is a deterministic partition of the search
+    space; merging the shard results reproduces the unsharded result
+    exactly."""
     if parts < 1:
         raise ValueError("parts must be >= 1")
     if problem.roots is not None:
         raise ValueError("cannot re-shard a shard")
     if parts == 1:
         return [problem]
-    if depth is None:
-        depth = max(1, min(problem.n - 1, 5))
-    if not 1 <= depth < max(problem.n, 2):
-        raise ValueError(f"shard depth {depth} outside 1..{problem.n - 1}")
+    depth = max(0, min(problem.n - 1, 5))
     roots = [encode_graph6(g) for g in enumerate_graphs(depth, problem.forbidden)]
     buckets: list[list[str]] = [[] for _ in range(parts)]
     for i, r in enumerate(roots):
         buckets[i % parts].append(r)
-    return [replace(problem, roots=tuple(b), root_level=depth) for b in buckets]
+    return [replace(problem, roots=tuple(b)) for b in buckets]
 
 
 def merge(results: list[ExtremalResult] | tuple[ExtremalResult, ...],
@@ -307,7 +302,6 @@ def serialize_problem(problem: SearchProblem) -> str:
         parts.append("forbid=" + ",".join(encode_graph6(f) for f in problem.forbidden))
     if problem.roots is not None:
         parts.append("roots=" + ",".join(problem.roots))
-        parts.append(f"root_level={problem.root_level}")
     return " ".join(parts)
 
 
@@ -317,6 +311,8 @@ def parse_problem(text: str) -> SearchProblem:
         if "=" not in token:
             raise ValueError(f"bad problem token {token!r}")
         key, _, value = token.partition("=")
+        if key not in ("n", "objective", "pattern", "k", "forbid", "roots"):
+            raise ValueError(f"unknown problem key {key!r}")
         fields[key] = value
     try:
         n = int(fields["n"])
@@ -328,9 +324,10 @@ def parse_problem(text: str) -> SearchProblem:
     objective = Objective(kind, pattern=pattern, k=k)
     forbidden = tuple(decode_graph6(t) for t in fields["forbid"].split(",")) \
         if fields.get("forbid") else ()
-    roots = tuple(fields["roots"].split(",")) if "roots" in fields else None
-    root_level = int(fields["root_level"]) if "root_level" in fields else None
-    return SearchProblem(n, forbidden, objective, roots=roots, root_level=root_level)
+    roots = fields.get("roots")
+    if roots is not None:
+        roots = tuple(roots.split(",")) if roots else ()
+    return SearchProblem(n, forbidden, objective, roots=roots)
 
 
 def result_line(problem: SearchProblem, result: ExtremalResult) -> str:

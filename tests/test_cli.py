@@ -84,6 +84,13 @@ def test_search_sharded_matches(capsys):
     assert tail1 == tail2 and "value=9" in tail1
 
 
+def test_shards_share_the_explored_budget(capsys):
+    code, out, _ = run_cli(capsys, "search", "edges", "--n", "8", "--forbid", "K3",
+                           "--max-explored", "10", "--shards", "4")
+    explored = int(out.split("explored=")[1].split()[0])
+    assert code == 0 and explored <= 10 and "exhaustive=false" in out
+
+
 def test_enumerate_counts(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--count-only")
     assert code == 0 and out.strip() == "34"

@@ -120,9 +120,31 @@ def test_shard_roots_give_the_unsharded_classes():
     for piece in shard(SearchProblem(8, family, Objective.edges()), 3):
         roots = [decode_graph6(r) for r in piece.roots]
         sharded += [canonical_form(g) for g in enumerate_graphs(
-            8, family, _roots=roots, _root_level=piece.root_level)]
+            8, family, _roots=roots)]
     assert len(full) == 4155
     assert sorted(sharded) == sorted(full)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_shards_merge_to_unsharded_at_small_n(n):
+    problem = SearchProblem(n, (), Objective.edges())
+    full = brute_force_ex(problem, use_cache=False)
+    pieces = shard(problem, 3)
+    assert merge([brute_force_ex(p) for p in pieces]) == full
+    assert full.explored == (2 if n == 2 else 1)
+    # Two of the three shards get no root; their descriptors still round-trip.
+    assert [parse_problem(serialize_problem(p)) for p in pieces] == pieces
+
+
+def test_root_level_is_its_vertex_count():
+    r = brute_force_ex(parse_problem("n=4 objective=edges roots=A_"))
+    assert r.witnesses and all(decode_graph6(w).n == 4 for w in r.witnesses)
+
+
+def test_root_above_n_rejected():
+    problem = SearchProblem(3, (), Objective.edges(), roots=(encode_graph6(complete(4)),))
+    with pytest.raises(ValueError, match="more than n=3"):
+        brute_force_ex(problem)
 
 
 def test_brute_force_spec_examples():
@@ -276,6 +298,12 @@ def test_problem_serialization_roundtrip():
     assert parse_problem(serialize_problem(star)) == star
     line = result_line(problem, brute_force_ex(problem))
     assert line.startswith("n=7 ") and "value=" in line
+
+
+@pytest.mark.parametrize("key", ["bogus", "root_level"])
+def test_parse_problem_rejects_unknown_keys(key):
+    with pytest.raises(ValueError, match=repr(key)):
+        parse_problem(f"n=5 objective=edges forbid=Bw {key}=1")
 
 
 def test_search_cap_guard():
