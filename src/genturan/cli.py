@@ -210,21 +210,12 @@ def _cmd_partition(args) -> int:
 
 def _build_objective(args) -> Objective:
     kind = args.objective
-    if kind == "edges":
-        return Objective.edges()
-    if kind == "copies":
-        if not args.pattern:
-            raise UsageError("objective 'copies' needs --pattern")
-        return Objective.copies(_read_graph(args.pattern))
-    if kind == "exstar":
-        if args.k is None:
-            raise UsageError("objective 'exstar' needs --k")
-        return Objective.exstar(args.k)
-    if kind == "exbar":
-        if not args.pattern:
-            raise UsageError("objective 'exbar' needs --pattern")
-        return Objective.exbar(_read_graph(args.pattern))
-    raise UsageError(f"unknown objective {kind!r}")
+    if kind in ("copies", "exbar") and not args.pattern:
+        raise UsageError(f"objective {kind!r} needs --pattern")
+    if kind == "exstar" and args.k is None:
+        raise UsageError("objective 'exstar' needs --k")
+    pattern = _read_graph(args.pattern) if args.pattern else None
+    return Objective(kind, pattern=pattern, k=args.k)
 
 
 def _cmd_search(args) -> int:

@@ -9,7 +9,9 @@ form computed by equitable partition refinement plus backtracking with
 automorphism pruning, and the isomorphism-free enumerator.  The canonical
 search also returns a complete generating set of the automorphism group;
 every vertex-orbit answer (the enumerator's deletion orbit, the counting
-module's anchor orbits) and the group order come from those generators.
+module's anchor orbits) and the group order come from those generators.  The
+enumerator carries each graph with its generators and extends it by one
+neighbour subset per orbit of its automorphism group.
 """
 
 from __future__ import annotations
@@ -500,15 +502,17 @@ def _orbit_representatives(h: Graph) -> tuple[int, ...]:
 # Isomorphism-free enumeration support
 # ---------------------------------------------------------------------------
 
-def _accept_child(adj: tuple[int, ...], n: int) -> tuple[int, ...] | None:
+def _accept_child(adj: tuple[int, ...], n: int) -> _CanonResult | None:
     """Canonical-deletion acceptance test for the enumerator.
 
     The new vertex is n-1 by construction.  Accept when n-1 lies in the
     designated deletion orbit: the orbit of the vertex occupying the last
     canonical position, read from the search's complete generators.  Returns
-    the canonical certificate when accepted (the caller dedupes siblings
-    with it), else None.  The equitable partition refined here is the one
-    the canonical search starts from; its last cell holds that orbit.
+    the child's canonical search when accepted, else None: its certificate
+    checks that siblings are distinct, and its generators are the child's
+    automorphism group, which the walk hands on to the child's own children.
+    The equitable partition refined here is the one the canonical search
+    starts from; its last cell holds that orbit.
     """
     cells = _refine(adj, [list(range(n))])
     new = n - 1
@@ -517,7 +521,7 @@ def _accept_child(adj: tuple[int, ...], n: int) -> tuple[int, ...] | None:
     res = _canon_search(adj, n, cells)
     w = res.order[-1]
     if w == new or new in _orbit(w, res.gens):
-        return res.cert
+        return res
     return None
 
 
@@ -526,9 +530,11 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     """Yield one representative per isomorphism class of n-vertex graphs
     with no subgraph copy of any member of `forbidden`.
 
-    Canonical augmentation: each graph is grown by one vertex at a time and a
-    child is kept only when the new vertex sits in the canonical deletion
-    orbit, so every class appears exactly once with no global dedupe table.
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    1998): each graph is grown by one vertex at a time, one neighbour subset
+    per orbit of the parent's automorphism group, and a child is kept only
+    when the new vertex sits in the canonical deletion orbit, so every class
+    appears exactly once with no global dedupe table.
 
     Freeness is hereditary, so only family-free graphs are extended, and a
     child is tested before its canonical test, incrementally: it can contain
@@ -537,7 +543,9 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     The walk starts from the 0-vertex graph, or from the mid-tree graphs
     `_roots` (each checked in full for freeness; a root's level is its vertex
     count, at most n); shards of an extremal search use this to split the
-    tree deterministically.
+    tree deterministically.  Each start graph gets one canonical search for
+    its generators; below it, every graph carries the generators its
+    acceptance test found.
     """
     if n < 0:
         raise ValueError("negative vertex count")
@@ -554,25 +562,33 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
         if g.n == n:
             yield g
         else:
-            yield from _descend(g, n, prune)
+            yield from _descend(g, _canon_search(g.adj, g.n).gens, n, prune)
 
 
-def _descend(g: Graph, n: int, prune) -> Iterator[Graph]:
-    for child in _children(g, prune):
+def _descend(g: Graph, gens: list[tuple[int, ...]], n: int,
+             prune) -> Iterator[Graph]:
+    for child, child_gens in _children(g, gens, prune):
         if child.n == n:
             yield child
         else:
-            yield from _descend(child, n, prune)
+            yield from _descend(child, child_gens, n, prune)
 
 
-def _children(g: Graph, prune) -> Iterator[Graph]:
+def _children(g: Graph, gens: list[tuple[int, ...]],
+              prune) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
     """Accepted family-free one-vertex extensions of g, one per child
-    isomorphism class.
+    isomorphism class, each with generators of its automorphism group.
+
+    `gens` generate Aut(g).  The neighbour subsets of the new vertex are
+    tried one per orbit of Aut(g), the least member of each: the filters and
+    the canonical-deletion test are all invariant under Aut(g), and accepted
+    children from different orbits are non-isomorphic (McKay 1998), so this
+    keeps exactly the children the every-subset loop would keep first.
 
     Candidates run through the cheap filters first: the degree filter, then
-    the incremental freeness test of `prune` against g's copy masks (found
-    once here, for all of g's children), and only then the canonical-deletion
-    test."""
+    the orbit test, then the incremental freeness test of `prune` against
+    g's copy masks (found once here, for all of g's children), and only then
+    the canonical-deletion test."""
     m = g.n
     adj = g.adj
     n = m + 1
@@ -584,10 +600,30 @@ def _children(g: Graph, prune) -> Iterator[Graph]:
     top_mask = sum(1 << v for v, d in enumerate(degs) if d == top)
     free = prune.free if prune.members else None
     masks = prune.masks(g)
+    # Each generator as the image bit of every vertex; `done` holds every
+    # subset in the orbit of a subset already tried.
+    images = [[1 << w for w in gen] for gen in gens]
+    done: set[int] = set()
     seen_certs: set[tuple[int, ...]] = set()
     for s in range(1 << m):
         if s.bit_count() < top + (s & top_mask != 0):
             continue
+        if images:
+            if s in done:
+                continue
+            stack = [s]
+            while stack:
+                t = stack.pop()
+                for image in images:
+                    u = 0
+                    r = t
+                    while r:
+                        low = r & -r
+                        u |= image[low.bit_length() - 1]
+                        r ^= low
+                    if u not in done:
+                        done.add(u)
+                        stack.append(u)
         child_adj = []
         for v in range(m):
             child_adj.append(adj[v] | ((s >> v & 1) << m))
@@ -595,8 +631,10 @@ def _children(g: Graph, prune) -> Iterator[Graph]:
         child = Graph._make(n, tuple(child_adj))
         if free is not None and not free(child, masks):
             continue
-        cert = _accept_child(child.adj, n)
-        if cert is None or cert in seen_certs:
+        res = _accept_child(child.adj, n)
+        if res is None:
             continue
-        seen_certs.add(cert)
-        yield child
+        if res.cert in seen_certs:
+            raise VerificationError("orbit-distinct siblings are isomorphic")
+        seen_certs.add(res.cert)
+        yield child, res.gens

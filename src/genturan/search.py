@@ -28,7 +28,9 @@ class Objective:
 
     kinds: "copies" (subgraph copies of `pattern`), "edges",
     "exstar" ((k-1)*edges + triangle count), "exbar" (total copies of all
-    induced subgraphs of `pattern`, empty member counted once)."""
+    induced subgraphs of `pattern`, empty member counted once).  A kind
+    takes only the fields it reads: `pattern` for copies and exbar, `k` for
+    exstar."""
 
     kind: str
     pattern: Graph | None = None
@@ -41,6 +43,10 @@ class Objective:
             raise ValueError(f"objective {self.kind!r} needs a nonempty pattern")
         if self.kind == "exstar" and (self.k is None or self.k < 2):
             raise ValueError("exstar needs k >= 2")
+        if self.kind in ("edges", "exstar") and self.pattern is not None:
+            raise ValueError(f"objective {self.kind!r} takes no pattern")
+        if self.kind != "exstar" and self.k is not None:
+            raise ValueError(f"objective {self.kind!r} takes no k")
 
     @staticmethod
     def copies(pattern: Graph) -> "Objective":
@@ -106,9 +112,22 @@ class ExtremalResult:
     exhaustive: bool
 
 
+# Both caches hold at most this many keys and drop the oldest first; the
+# default-range `verify all` creates 87 result keys and 44 host-list keys,
+# `--n-range 5..8` 92 and 43.
+_CACHE_KEYS = 128
+_HOST_CACHE_KEYS = 64
+_HOST_CACHE_LIMIT = 150_000  # hosts in one cached list
+
 _cache: dict[tuple, ExtremalResult] = {}
 _host_cache: dict[tuple, list[Graph]] = {}
-_HOST_CACHE_LIMIT = 150_000
+
+
+def _remember(cache: dict, key: tuple, value, limit: int) -> None:
+    """Store key -> value, dropping the oldest keys beyond `limit`."""
+    cache[key] = value
+    while len(cache) > limit:
+        del cache[next(iter(cache))]
 
 
 def _family_key(forbidden: tuple[Graph, ...]) -> tuple:
@@ -215,10 +234,10 @@ def brute_force_ex(problem: SearchProblem, *,
     result = ExtremalResult(problem.n, best, tuple(sorted(witnesses)),
                             num_extremal, explored, exhaustive)
     if cacheable and exhaustive:
-        _cache[key] = result
+        _remember(_cache, key, result, _CACHE_KEYS)
         if (collected is not None and host_key is not None
                 and len(collected) <= _HOST_CACHE_LIMIT):
-            _host_cache[host_key] = collected
+            _remember(_host_cache, host_key, collected, _HOST_CACHE_KEYS)
     return result
 
 
@@ -313,6 +332,8 @@ def parse_problem(text: str) -> SearchProblem:
         key, _, value = token.partition("=")
         if key not in ("n", "objective", "pattern", "k", "forbid", "roots"):
             raise ValueError(f"unknown problem key {key!r}")
+        if key in fields:
+            raise ValueError(f"repeated problem key {key!r}")
         fields[key] = value
     try:
         n = int(fields["n"])

@@ -144,6 +144,41 @@ def registry_usage() -> tuple[list[tuple[Graph, ...]], list[Graph]]:
     return list(families), list(patterns)
 
 
+def every_subset_walk(n: int, forbidden=(), roots=None):
+    """Reference for `enumerate_graphs`: the walk without orbit pruning.
+
+    Every neighbour subset of the new vertex is tried, in ascending order,
+    against the full freeness test, and accepted siblings are deduplicated by
+    canonical certificate.  It shares only the canonical-deletion test with
+    the library, since that test picks which labelled graph stands for a
+    class; the orbit pruning, the degree filter and the incremental freeness
+    prune are all left out."""
+    from genturan.counting import is_family_free
+    from genturan.graphs import _accept_child, canonical_cert
+
+    def descend(g: Graph):
+        if g.n == n:
+            yield g
+            return
+        m = g.n
+        seen = set()
+        for s in range(1 << m):
+            adj = tuple(row | (s >> v & 1) << m for v, row in enumerate(g.adj))
+            child = Graph(m + 1, adj + (s,))
+            if _accept_child(child.adj, child.n) is None:
+                continue
+            if not is_family_free(child, forbidden):
+                continue
+            cert = canonical_cert(child)
+            if cert not in seen:
+                seen.add(cert)
+                yield from descend(child)
+
+    for g in [Graph(0)] if roots is None else roots:
+        if is_family_free(g, forbidden):
+            yield from descend(g)
+
+
 def naive_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n:
         return False

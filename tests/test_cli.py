@@ -84,6 +84,18 @@ def test_search_sharded_matches(capsys):
     assert tail1 == tail2 and "value=9" in tail1
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["edges", "--k", "3"], "k"),
+    (["edges", "--pattern", "K2"], "pattern"),
+    (["exstar", "--k", "3", "--pattern", "K2"], "pattern"),
+    (["copies", "--pattern", "K2", "--k", "3"], "k"),
+])
+def test_search_objective_field_it_ignores_usage_error(capsys, argv, field):
+    code, out, err = run_cli(capsys, "search", *argv, "--n", "5")
+    assert code == 2 and out == ""
+    assert f"takes no {field}" in err
+
+
 def test_shards_share_the_explored_budget(capsys):
     code, out, _ = run_cli(capsys, "search", "edges", "--n", "8", "--forbid", "K3",
                            "--max-explored", "10", "--shards", "4")

@@ -11,6 +11,7 @@ from math import comb, factorial
 
 import pytest
 
+from genturan import search
 from genturan.constructions import erdos_value, prop61_value
 from genturan.counting import count_copies, is_family_free
 from genturan.graph6 import decode_graph6, encode_graph6
@@ -23,8 +24,9 @@ from genturan.search import (ExtremalResult, Objective, SearchProblem,
                              parse_problem, result_line, serialize_problem,
                              shard)
 
-from conftest import (all_labeled_graphs, naive_isomorphism_classes, package_env,
-                      random_graph, registry_usage)
+from conftest import (all_labeled_graphs, every_subset_walk,
+                      naive_isomorphism_classes, package_env, random_graph,
+                      registry_usage)
 
 K3 = complete(3)
 GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -123,6 +125,31 @@ def test_shard_roots_give_the_unsharded_classes():
             8, family, _roots=roots)]
     assert len(full) == 4155
     assert sorted(sharded) == sorted(full)
+
+
+def _labelled(graphs):
+    return [(g.n, g.adj) for g in graphs]
+
+
+def test_orbit_pruned_walk_matches_oracle():
+    # The same labelled graphs in the same order as trying every subset, for
+    # all graphs and every family the registry searches.
+    families, _ = registry_usage()
+    for family in [(), *families]:
+        for n in range(8):
+            got = _labelled(enumerate_graphs(n, family))
+            assert got == _labelled(every_subset_walk(n, family)), (n, family)
+
+
+def test_orbit_pruned_walk_matches_oracle_from_shard_roots():
+    family = (copies(2, K3),)
+    total = 0
+    for piece in shard(SearchProblem(8, family, Objective.edges()), 3):
+        roots = [decode_graph6(r) for r in piece.roots]
+        got = _labelled(enumerate_graphs(8, family, _roots=roots))
+        assert got == _labelled(every_subset_walk(8, family, roots))
+        total += len(got)
+    assert total == 4155
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -304,6 +331,47 @@ def test_problem_serialization_roundtrip():
 def test_parse_problem_rejects_unknown_keys(key):
     with pytest.raises(ValueError, match=repr(key)):
         parse_problem(f"n=5 objective=edges forbid=Bw {key}=1")
+
+
+@pytest.mark.parametrize("text,key", [
+    ("n=5 objective=edges n=6", "n"),
+    ("n=5 objective=edges forbid=Bw forbid=Bw", "forbid"),
+    ("n=5 objective=exstar k=2 k=3", "k"),
+])
+def test_parse_problem_rejects_repeated_keys(text, key):
+    with pytest.raises(ValueError, match=f"repeated problem key {key!r}"):
+        parse_problem(text)
+
+
+@pytest.mark.parametrize("text,field", [
+    ("n=5 objective=edges k=3 pattern=A_", "pattern"),
+    ("n=5 objective=edges pattern=A_", "pattern"),
+    ("n=5 objective=exstar k=3 pattern=A_", "pattern"),
+    ("n=5 objective=edges k=3", "k"),
+    ("n=5 objective=copies pattern=A_ k=3", "k"),
+    ("n=5 objective=exbar pattern=A_ k=3", "k"),
+])
+def test_objective_rejects_fields_its_kind_ignores(text, field):
+    with pytest.raises(ValueError, match=f"takes no {field}"):
+        parse_problem(text)
+
+
+def test_caches_drop_the_oldest_key_past_their_limit(monkeypatch):
+    monkeypatch.setattr(search, "_cache", {})
+    monkeypatch.setattr(search, "_host_cache", {})
+    monkeypatch.setattr(search, "_CACHE_KEYS", 3)
+    monkeypatch.setattr(search, "_HOST_CACHE_KEYS", 3)
+    # Four searches store four results and four host lists (n = 1..4): one
+    # key past each limit.
+    problems = [SearchProblem(n, (), Objective.edges()) for n in range(1, 5)]
+    for problem in problems:
+        brute_force_ex(problem)
+    assert list(search._host_cache) == [(2, ()), (3, ()), (4, ())]
+    assert [key[0] for key in search._cache] == [2, 3, 4]
+    # A hit on a held key stores nothing, so nothing is dropped.
+    key = search._problem_cache_key(problems[1], search.DEFAULT_WITNESS_CAP)
+    assert brute_force_ex(problems[1]) is search._cache[key]
+    assert [key[0] for key in search._cache] == [2, 3, 4]
 
 
 def test_search_cap_guard():
