@@ -240,6 +240,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.n > DEFAULT_N_CAP and not args.force:
+        raise UsageError(f"--n {args.n} exceeds the cap {DEFAULT_N_CAP}; "
+                         "pass --force if you mean it")
     forbidden = tuple(_read_family(args.forbid)) if args.forbid else ()
     count = 0
     for g in enumerate_graphs(args.n, forbidden):
@@ -338,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonical", action="store_true",
                    help="emit canonical representatives")
     p.add_argument("--count-only", action="store_true")
+    p.add_argument("--force", action="store_true",
+                   help=f"lift the default host-size cap of {DEFAULT_N_CAP}")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run claim checks")

@@ -12,8 +12,9 @@ in a connectivity-respecting order chosen to maximize the number of
 already-mapped neighbors, so candidate sets shrink to neighborhood
 intersections as early as possible.  The same search counts copies and
 induced copies, stops at a first hit for freeness tests, counts copies by
-how they meet a vertex set, pins a pattern vertex to an anchor for the
-enumerator's incremental prune, and collects copy vertex sets for packing.
+how they meet a vertex set, and collects copy vertex sets for packing.  Pinned
+to an anchor vertex, it also collects, per map, the attach set and body the
+enumerator's blocked neighbour sets are built from (`packing.FreenessPrune`).
 |Aut(H)| and the pattern's vertex orbits come from the graphs module's
 canonical search.
 """
@@ -84,7 +85,8 @@ def count_injections(g: Graph, h: Graph) -> int:
 
 def _inject(g: Graph, plan: _Plan, limit: int | None = None,
             meet_mask: int = 0, meet_target: int = -1,
-            anchor: int | None = None, found: set[int] | None = None) -> int:
+            anchor: int | None = None, found: set[int] | None = None,
+            attach: set[tuple[int, int]] | None = None) -> int:
     """Backtracking count of the injective maps of a pattern into g that
     follow its `_pattern_plan`: edge-preserving, and for an induced plan
     non-edge-preserving too.
@@ -94,12 +96,16 @@ def _inject(g: Graph, plan: _Plan, limit: int | None = None,
     that many vertices are counted.  With `anchor` set the plan's first
     pattern vertex is pinned to that host vertex.  With `found` set, the
     vertex set (a bitmask) of every counted map's image is added to it.
+    With `attach` set (and `anchor`), the pair (attach set, body) of every
+    counted map is added to it: the attach set is the image of the anchored
+    pattern vertex's neighbours, the body the image without the anchor.
     """
     _, backs, nons = plan
     gadj = g.adj
     hn = len(backs)
     full = (1 << g.n) - 1
     images = [0] * hn
+    near = () if attach is None else [i for i, back in enumerate(backs) if 0 in back]
     count = 0
 
     def rec(depth: int, used: int) -> bool:
@@ -109,6 +115,11 @@ def _inject(g: Graph, plan: _Plan, limit: int | None = None,
                 count += 1
                 if found is not None:
                     found.add(used)
+                if attach is not None:
+                    att = 0
+                    for i in near:
+                        att |= 1 << images[i]
+                    attach.add((att, used ^ 1 << anchor))
                 if limit is not None and count >= limit:
                     return True
             return False

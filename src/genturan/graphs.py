@@ -70,6 +70,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # Pickle through the checking constructor: the default slot-state
+        # path would go through the blocked __setattr__.
+        return (Graph, (self.n, self.adj))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -303,25 +308,33 @@ def _refine(adj: Sequence[int], cells: list[list[int]],
         new_cells: list[list[int]] = []
         changed = False
         for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            buckets: dict[int, list[int]] = {}
-            for v in cell:
-                k = (adj[v] & w).bit_count()
-                b = buckets.get(k)
-                if b is None:
-                    buckets[k] = [v]
+            if len(cell) > 1:
+                # Most cells do not split: check that before bucketing.
+                k0 = (adj[cell[0]] & w).bit_count()
+                for v in cell:
+                    if (adj[v] & w).bit_count() != k0:
+                        break
                 else:
-                    b.append(v)
-            if len(buckets) == 1:
-                new_cells.append(cell)
-            else:
+                    new_cells.append(cell)
+                    continue
+                buckets: dict[int, list[int]] = {}
+                for v in cell:
+                    k = (adj[v] & w).bit_count()
+                    b = buckets.get(k)
+                    if b is None:
+                        buckets[k] = [v]
+                    else:
+                        b.append(v)
                 changed = True
                 for k in sorted(buckets):
                     frag = buckets[k]
                     new_cells.append(frag)
-                    work.append(sum(1 << v for v in frag))
+                    mask = 0
+                    for v in frag:
+                        mask |= 1 << v
+                    work.append(mask)
+            else:
+                new_cells.append(cell)
         if changed:
             cells = new_cells
     return cells
@@ -537,8 +550,10 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     appears exactly once with no global dedupe table.
 
     Freeness is hereditary, so only family-free graphs are extended, and a
-    child is tested before its canonical test, incrementally: it can contain
-    a member only through its new vertex (see `packing.FreenessPrune`).
+    child can contain a member only through its new vertex: each parent
+    finds once the neighbour sets that would create a member, and candidate
+    subsets holding one are dropped before any child is built (see
+    `packing.FreenessPrune`).
 
     The walk starts from the 0-vertex graph, or from the mid-tree graphs
     `_roots` (each checked in full for freeness; a root's level is its vertex
@@ -547,8 +562,8 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     its generators; below it, every graph carries the generators its
     acceptance test found.
     """
-    if n < 0:
-        raise ValueError("negative vertex count")
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     # packing and counting build on this module
     from .counting import is_family_free
     from .packing import FreenessPrune
@@ -586,9 +601,11 @@ def _children(g: Graph, gens: list[tuple[int, ...]],
     keeps exactly the children the every-subset loop would keep first.
 
     Candidates run through the cheap filters first: the degree filter, then
-    the orbit test, then the incremental freeness test of `prune` against
-    g's copy masks (found once here, for all of g's children), and only then
-    the canonical-deletion test."""
+    the blocked-set test of `prune` (a subset holding one of g's blocked
+    sets, found once here for all of g's children, makes a child with a
+    forbidden copy), then the orbit test.  Only then is the child built and
+    given the canonical-deletion test.  The blocked-set test is invariant
+    under Aut(g) too, so skipping a blocked subset skips its whole orbit."""
     m = g.n
     adj = g.adj
     n = m + 1
@@ -598,8 +615,7 @@ def _children(g: Graph, gens: list[tuple[int, ...]],
     degs = [row.bit_count() for row in adj]
     top = max(degs, default=0)
     top_mask = sum(1 << v for v, d in enumerate(degs) if d == top)
-    free = prune.free if prune.members else None
-    masks = prune.masks(g)
+    blocked = prune.blocked(g)
     # Each generator as the image bit of every vertex; `done` holds every
     # subset in the orbit of a subset already tried.
     images = [[1 << w for w in gen] for gen in gens]
@@ -607,6 +623,8 @@ def _children(g: Graph, gens: list[tuple[int, ...]],
     seen_certs: set[tuple[int, ...]] = set()
     for s in range(1 << m):
         if s.bit_count() < top + (s & top_mask != 0):
+            continue
+        if blocked and any(s & b == b for b in blocked):
             continue
         if images:
             if s in done:
@@ -629,8 +647,6 @@ def _children(g: Graph, gens: list[tuple[int, ...]],
             child_adj.append(adj[v] | ((s >> v & 1) << m))
         child_adj.append(s)
         child = Graph._make(n, tuple(child_adj))
-        if free is not None and not free(child, masks):
-            continue
         res = _accept_child(child.adj, n)
         if res is None:
             continue

@@ -7,8 +7,10 @@ bound.  The copy vertex sets come from the counting module's embedder,
 `counting._inject`, which collects the image of every map.  The partition
 built from a maximum packing puts the packed vertices on one side (L) and the
 rest (R); the R-induced subgraph is always F-free, which is checked.  The
-enumerator's incremental freeness test lives here too, since it packs
-component copies.
+enumerator's freeness test lives here too, since it packs component copies:
+per parent it finds the neighbour sets of a new vertex that would create a
+forbidden copy (`FreenessPrune.blocked`), and the enumerator then filters
+candidates by degree, blocked set, orbit and canonical test, in that order.
 """
 
 from __future__ import annotations
@@ -190,21 +192,23 @@ def canonical_partition(g: Graph, f: Graph) -> CanonicalPartition:
 
 
 class FreenessPrune:
-    """Incremental freeness test for the enumerator's one-vertex extensions.
+    """Per-parent freeness test for the enumerator's one-vertex extensions.
 
-    The enumerator extends only family-free graphs, so a child whose new
-    vertex is a = n-1 contains a forbidden member F only through a:
+    The enumerator extends only family-free graphs, so a child g + a, with
+    the new vertex a joined to s, contains a forbidden member F only through
+    a: some map of F sends a pattern vertex v to a and the rest into g, and
+    the image of v's pattern neighbours, its attach set, lies inside s.  For
+    F = F1 u ... u Fr disconnected (such as kF) that map covers one
+    component, and the other components must also pack, pairwise disjoint,
+    inside g away from the map's body; whether they do depends on the map,
+    not on s.
 
-    * F connected: a copy of F through a, found by an anchored containment
-      search that stops at the first hit;
-    * F = F1 u ... u Fr disconnected (such as kF): a copy M of some
-      component through a, plus pairwise disjoint copies of the other
-      components inside the parent that avoid M.  The parent's copies are
-      its copy masks (`masks`), one list per component type, found once per
-      parent and shared by all of its children.
-
-    Members with more vertices than the enumerated n cannot occur and are
-    dropped.
+    So `blocked(g)` is computed once per parent, from the anchored maps into
+    g plus a vertex joined to all of g, and a candidate s is rejected when
+    it contains a blocked set: a bitmask test, before any child is built.
+    The enumerator's filters run in the order degree, blocked set, orbit,
+    canonical test.  Members with more vertices than the enumerated n cannot
+    occur and are dropped.
     """
 
     def __init__(self, forbidden, n: int):
@@ -235,34 +239,47 @@ class FreenessPrune:
                 rest = [(u, c - (u == t)) for u, c in counts.items() if c - (u == t)]
                 anchors.append((t, rest))
             self.unions.append((f.n, anchors))
+        self.type_plans = [_anchored_plans(t) for t in self.types]
 
-    def masks(self, g: Graph) -> tuple[list[int], ...]:
-        """The copy masks of g: for each component type, the ascending vertex
-        sets spanning a copy of it."""
-        return tuple(copy_vertex_sets(g, t) for t in self.types)
-
-    def free(self, child: Graph, masks: tuple[list[int], ...]) -> bool:
-        """Whether `child` is family-free, given that its parent (the child
-        minus its last vertex) is; `masks` are the parent's copy masks."""
-        a = child.n - 1
+    def blocked(self, g: Graph) -> list[int]:
+        """The inclusion-minimal blocked sets of the family-free parent g,
+        ascending by size: g + a, with a joined to s, is family-free exactly
+        when s contains none of them."""
+        m = g.n
+        full = (1 << m) - 1
+        # Every map through a in a child is a map here whose attach set lies
+        # inside that child's s.
+        host = Graph._make(m + 1, tuple(row | 1 << m for row in g.adj) + (full,))
+        hits: set[int] = set()
         for size, plans in self.connected:
-            if size > child.n:
+            if size > m + 1:
                 continue
+            maps: set[tuple[int, int]] = set()
             for plan in plans:
-                if _inject(child, plan, 1, anchor=a):
-                    return False
-        parent = (1 << a) - 1
+                _inject(host, plan, anchor=m, attach=maps)
+            hits.update(att for att, _ in maps)
+        masks = [copy_vertex_sets(g, t) for t in self.types]
         for size, anchors in self.unions:
-            if size > child.n:
+            if size > m + 1:
                 continue
             for t, rest in anchors:
                 if any(len(masks[u]) < c for u, c in rest):
                     continue
+                maps = set()
+                for plan in self.type_plans[t]:
+                    _inject(host, plan, anchor=m, attach=maps)
+                bodies: dict[int, list[int]] = {}
+                for att, body in maps:
+                    bodies.setdefault(body, []).append(att)
                 demands = [(masks[u], c, self.types[u].n) for u, c in rest]
-                for m in copy_vertex_sets(child, self.types[t], anchor=a):
-                    if _packs(demands, parent & ~m):
-                        return False
-        return True
+                for body, atts in bodies.items():
+                    if _packs(demands, full & ~body):
+                        hits.update(atts)
+        kept: list[int] = []
+        for b in sorted(hits, key=lambda b: (b.bit_count(), b)):
+            if all(k & ~b for k in kept):
+                kept.append(b)
+        return kept
 
 
 def _packs(demands: list[tuple[list[int], int, int]], avail: int) -> bool:

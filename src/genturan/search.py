@@ -209,6 +209,8 @@ def brute_force_ex(problem: SearchProblem, *,
             break
         if collected is not None:
             collected.append(g)
+            if len(collected) > _HOST_CACHE_LIMIT:
+                collected = None  # too long to cache; stop holding it
         explored += 1
         value = objective.evaluate(g)
         if best is None or value > best:
@@ -235,8 +237,7 @@ def brute_force_ex(problem: SearchProblem, *,
                             num_extremal, explored, exhaustive)
     if cacheable and exhaustive:
         _remember(_cache, key, result, _CACHE_KEYS)
-        if (collected is not None and host_key is not None
-                and len(collected) <= _HOST_CACHE_LIMIT):
+        if collected is not None and host_key is not None:
             _remember(_host_cache, host_key, collected, _HOST_CACHE_KEYS)
     return result
 

@@ -106,9 +106,22 @@ def test_shards_share_the_explored_budget(capsys):
 def test_enumerate_counts(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--count-only")
     assert code == 0 and out.strip() == "34"
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--count-only", "--force")
+    assert code == 0 and out.strip() == "34"
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--canonical")
     assert code == 0
     assert len(out.strip().split("\n")) == 11
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--n", "11"), "exceeds the cap 10"),
+    (("--n", "65"), "exceeds the cap 10"),
+    (("--n", "65", "--force"), "outside 0..64"),
+    (("--n", "-1"), "outside 0..64"),
+])
+def test_enumerate_host_size_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "enumerate", "--count-only", *argv)
+    assert code == 2 and out == "" and message in err
 
 
 def test_verify_check_pass_exit_zero(capsys, tmp_path):

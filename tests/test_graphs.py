@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from math import comb
 
@@ -197,3 +198,18 @@ def test_relabel_roundtrip():
     assert relabel(relabel(g, perm), inverse) == g
     with pytest.raises(ValueError):
         relabel(g, [0, 0, 1, 2, 3])
+
+
+def test_pickle_roundtrip():
+    rng = random.Random(7)
+    graphs = [empty_graph(0), empty_graph(4), complete(3), complete(9),
+              turan(10, 3)]
+    for n in (5, 12, 40):
+        g = random_graph(rng, n, 0.4)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(relabel(g, perm))
+    for g in graphs:
+        back = pickle.loads(pickle.dumps(g))
+        assert type(back) is Graph and back == g and back.adj == g.adj
+        assert hash(back) == hash(g)

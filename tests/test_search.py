@@ -15,10 +15,11 @@ from genturan import search
 from genturan.constructions import erdos_value, prop61_value
 from genturan.counting import count_copies, is_family_free
 from genturan.graph6 import decode_graph6, encode_graph6
-from genturan.graphs import (automorphism_count, canonical_form,
+from genturan.graphs import (Graph, automorphism_count, canonical_form,
                              canonical_graph, complete, complete_bipartite,
                              copies, cycle, disjoint_union, enumerate_graphs,
-                             relabel, turan)
+                             is_connected, relabel, turan)
+from genturan.packing import FreenessPrune
 from genturan.search import (ExtremalResult, Objective, SearchProblem,
                              brute_force_ex, exbar_brute, exstar_brute, merge,
                              parse_problem, result_line, serialize_problem,
@@ -113,6 +114,36 @@ def test_hereditary_pruning_equals_post_filter():
                         if is_family_free(g, family)}
             assert len(pruned) == len(set(pruned)), (n, family)
             assert set(pruned) == filtered, (n, family)
+
+
+def test_blocked_sets_match_the_full_freeness_test():
+    # For every family-free parent g on at most 6 vertices, one per class in
+    # a shuffled labelling, and every neighbour set s of a new vertex a: s
+    # holds one of g's blocked sets exactly when g + a~s contains a member,
+    # and no blocked set holds another.
+    families, _ = registry_usage()
+    families += [family for family in PRUNE_FAMILIES if family not in families
+                 and not all(is_connected(f) for f in family)]
+    rng = random.Random(5)
+    parents = []
+    for m in range(7):
+        for g in enumerate_graphs(m):
+            perm = list(range(m))
+            rng.shuffle(perm)
+            parents.append(relabel(g, perm))
+    for family in families:
+        prune = FreenessPrune(family, 7)
+        for g in parents:
+            if not is_family_free(g, family):
+                continue
+            blocked = prune.blocked(g)
+            assert all(a & ~b for a in blocked for b in blocked if a != b), blocked
+            m = g.n
+            for s in range(1 << m):
+                adj = tuple(row | (s >> v & 1) << m for v, row in enumerate(g.adj))
+                child = Graph(m + 1, adj + (s,))
+                hit = any(s & b == b for b in blocked)
+                assert hit != is_family_free(child, family), (family, g.adj, s)
 
 
 def test_shard_roots_give_the_unsharded_classes():
@@ -372,6 +403,18 @@ def test_caches_drop_the_oldest_key_past_their_limit(monkeypatch):
     key = search._problem_cache_key(problems[1], search.DEFAULT_WITNESS_CAP)
     assert brute_force_ex(problems[1]) is search._cache[key]
     assert [key[0] for key in search._cache] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("limit,cached", [(33, False), (34, True)])
+def test_host_list_past_its_limit_is_not_cached(monkeypatch, limit, cached):
+    # n = 5 has 34 classes: a list one host past the limit is dropped while
+    # the search runs, one at the limit is kept; the result is the same.
+    monkeypatch.setattr(search, "_cache", {})
+    monkeypatch.setattr(search, "_host_cache", {})
+    monkeypatch.setattr(search, "_HOST_CACHE_LIMIT", limit)
+    problem = SearchProblem(5, (), Objective.edges())
+    assert brute_force_ex(problem) == brute_force_ex(problem, use_cache=False)
+    assert list(search._host_cache) == ([(5, ())] if cached else [])
 
 
 def test_search_cap_guard():
