@@ -270,6 +270,18 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return Graph._make(g.n - 1, tuple(adj))
 
 
+def add_vertex(g: Graph, neighbors: int) -> Graph:
+    """g plus a new vertex g.n joined to the vertex set `neighbors` (a bitmask)."""
+    m = g.n
+    if m >= MAX_VERTICES:
+        raise ValueError(f"a graph on {m} vertices has no room for another")
+    if not 0 <= neighbors < 1 << m:
+        raise ValueError(f"neighbor mask has bits outside 0..{m - 1}")
+    adj = [row | (neighbors >> v & 1) << m for v, row in enumerate(g.adj)]
+    adj.append(neighbors)
+    return Graph._make(m + 1, tuple(adj))
+
+
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Image of g under the permutation perm (vertex v goes to perm[v])."""
     if sorted(perm) != list(range(g.n)):
@@ -539,7 +551,8 @@ def _accept_child(adj: tuple[int, ...], n: int) -> _CanonResult | None:
 
 
 def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
-                     _roots: Sequence[Graph] | None = None) -> Iterator[Graph]:
+                     _roots: Sequence[Graph] | None = None,
+                     _parent_hook=None) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of n-vertex graphs
     with no subgraph copy of any member of `forbidden`.
 
@@ -561,36 +574,56 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     tree deterministically.  Each start graph gets one canonical search for
     its generators; below it, every graph carries the generators its
     acceptance test found.
+
+    `_parent_hook`, when given, is called once with each graph at level
+    n - 1, before its children are looked for.  It returns None to keep
+    every child, False to skip the parent (no blocked sets found, no subset
+    tried), or a predicate on the new vertex's neighbour mask that a child
+    must pass (see `_children`).  The predicate must hold for all of an
+    Aut(parent) orbit of masks or for none of it, and may only grow stricter
+    while the parent's children are walked.  An exception the hook raises
+    ends the walk.  Extremal searches use it for their incumbent bound and
+    their deadline.
+
+    Arguments are checked when this is called, before the first `next`.
     """
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-    # packing and counting build on this module
-    from .counting import is_family_free
-    from .packing import FreenessPrune
-    prune = FreenessPrune(forbidden, n)
     start = [empty_graph(0)] if _roots is None else list(_roots)
     if any(g.n > n for g in start):
         raise ValueError(f"a root has more than n={n} vertices")
+    # packing and counting build on this module
+    from .packing import FreenessPrune
+    return _walk(start, n, FreenessPrune(forbidden, n), _parent_hook)
+
+
+def _walk(start: list[Graph], n: int, prune, hook) -> Iterator[Graph]:
+    from .counting import is_family_free
     for g in start:
         if not is_family_free(g, prune.members):
             continue
         if g.n == n:
             yield g
         else:
-            yield from _descend(g, _canon_search(g.adj, g.n).gens, n, prune)
+            yield from _descend(g, _canon_search(g.adj, g.n).gens, n, prune, hook)
 
 
 def _descend(g: Graph, gens: list[tuple[int, ...]], n: int,
-             prune) -> Iterator[Graph]:
-    for child, child_gens in _children(g, gens, prune):
+             prune, hook) -> Iterator[Graph]:
+    keep = None
+    if hook is not None and g.n == n - 1:
+        keep = hook(g)
+        if keep is False:
+            return
+    for child, child_gens in _children(g, gens, prune, keep):
         if child.n == n:
             yield child
         else:
-            yield from _descend(child, child_gens, n, prune)
+            yield from _descend(child, child_gens, n, prune, hook)
 
 
-def _children(g: Graph, gens: list[tuple[int, ...]],
-              prune) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
+def _children(g: Graph, gens: list[tuple[int, ...]], prune,
+              keep=None) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
     """Accepted family-free one-vertex extensions of g, one per child
     isomorphism class, each with generators of its automorphism group.
 
@@ -600,12 +633,17 @@ def _children(g: Graph, gens: list[tuple[int, ...]],
     children from different orbits are non-isomorphic (McKay 1998), so this
     keeps exactly the children the every-subset loop would keep first.
 
-    Candidates run through the cheap filters first: the degree filter, then
-    the blocked-set test of `prune` (a subset holding one of g's blocked
-    sets, found once here for all of g's children, makes a child with a
-    forbidden copy), then the orbit test.  Only then is the child built and
-    given the canonical-deletion test.  The blocked-set test is invariant
-    under Aut(g) too, so skipping a blocked subset skips its whole orbit."""
+    Candidates run through the cheap filters first, in this order:
+    - the degree filter;
+    - the predicate `keep`, when given (a parent hook's bound; see
+      `enumerate_graphs`);
+    - the blocked-set test of `prune`: a subset holding one of g's blocked
+      sets, found once here for all of g's children, makes a child with a
+      forbidden copy;
+    - the orbit test.
+    Only then is the child built and given the canonical-deletion test.  The
+    predicate and the blocked-set test are invariant under Aut(g) too, so a
+    subset they reject takes its whole orbit with it."""
     m = g.n
     adj = g.adj
     n = m + 1
@@ -623,6 +661,8 @@ def _children(g: Graph, gens: list[tuple[int, ...]],
     seen_certs: set[tuple[int, ...]] = set()
     for s in range(1 << m):
         if s.bit_count() < top + (s & top_mask != 0):
+            continue
+        if keep is not None and not keep(s):
             continue
         if blocked and any(s & b == b for b in blocked):
             continue
@@ -642,11 +682,7 @@ def _children(g: Graph, gens: list[tuple[int, ...]],
                     if u not in done:
                         done.add(u)
                         stack.append(u)
-        child_adj = []
-        for v in range(m):
-            child_adj.append(adj[v] | ((s >> v & 1) << m))
-        child_adj.append(s)
-        child = Graph._make(n, tuple(child_adj))
+        child = add_vertex(g, s)
         res = _accept_child(child.adj, n)
         if res is None:
             continue

@@ -6,17 +6,25 @@ evaluates an objective on every family-free host, and reports the exact
 maximum with canonical witnesses.  Searches can be split into shards that
 partition the enumeration tree at a fixed depth; shard results merge
 associatively and order-independently back into the unsharded answer.
+
+In bounded mode the walk drops, at the last level, every child whose value
+(the parent's plus the objective's exact increment at the new vertex) is
+below the best value found so far, before the child is built; the maximum,
+the extremal count and the witnesses are those of the full walk, but only
+the hosts that can still reach the running maximum are evaluated.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import Callable
 
-from .graphs import (Graph, VerificationError, canonical_cert, canonical_graph,
-                     enumerate_graphs)
+from .graphs import (Graph, VerificationError, add_vertex, canonical_cert,
+                     canonical_graph, enumerate_graphs)
 from .graph6 import decode_graph6, encode_graph6
-from .counting import count_copies, count_induced_family, is_family_free
+from .counting import (count_copies, count_copies_meeting, count_induced_family,
+                       is_family_free)
 
 DEFAULT_N_CAP = 10
 DEFAULT_WITNESS_CAP = 16
@@ -73,6 +81,43 @@ class Objective:
             return (self.k - 1) * g.edge_count() + count_copies(g, _K3)
         return count_induced_family(g, self.pattern)
 
+    def increment(self, g: Graph) -> Callable[[int], int]:
+        """The map s -> value(g + a) - value(g), where the new vertex a = g.n
+        is joined to the vertex set s (a bitmask).
+
+        Computed on masks for edges, copies of a complete graph and exstar;
+        any other pattern is counted through a on the built child."""
+        adj = g.adj
+        if self.kind == "edges":
+            return int.bit_count
+        if self.kind == "exstar":
+            k = self.k
+            return lambda s: (k - 1) * s.bit_count() + _cliques_in(adj, s, 2)
+        if self.kind == "copies":
+            h = self.pattern
+            if all(row.bit_count() == h.n - 1 for row in h.adj):
+                return lambda s: _cliques_in(adj, s, h.n - 1)
+            a = 1 << g.n
+            return lambda s: count_copies_meeting(add_vertex(g, s), h, a, 1)
+        base = self.evaluate(g)
+        return lambda s: self.evaluate(add_vertex(g, s)) - base
+
+
+def _cliques_in(adj: tuple[int, ...], s: int, r: int) -> int:
+    """Number of r-vertex cliques inside the vertex set s (1 for r = 0)."""
+    if r == 0:
+        return 1
+    if r == 1:
+        return s.bit_count()
+    total = 0
+    while s:
+        low = s & -s
+        s ^= low
+        # Each clique is counted from its lowest vertex.
+        total += _cliques_in(adj, s & adj[low.bit_length() - 1], r - 1)
+    return total
+
+
 _K3 = Graph(3, (0b110, 0b101, 0b011))
 
 
@@ -102,7 +147,8 @@ class ExtremalResult:
     `value` is None when no family-free host exists.  `witnesses` holds the
     canonically-least extremal classes as canonical graph6, `num_extremal`
     the exact number of extremal classes, `explored` the number of
-    family-free classes evaluated."""
+    family-free hosts evaluated: every class in a full search, only those
+    the incumbent bound kept in a bounded one."""
 
     n: int
     value: int | None
@@ -112,29 +158,19 @@ class ExtremalResult:
     exhaustive: bool
 
 
-# Both caches hold at most this many keys and drop the oldest first; the
-# default-range `verify all` creates 87 result keys and 44 host-list keys,
-# `--n-range 5..8` 92 and 43.
+# The result cache holds at most this many keys and drops the oldest first;
+# the default-range `verify all` creates 87 keys, `--n-range 5..8` 92.
 _CACHE_KEYS = 128
-_HOST_CACHE_KEYS = 64
-_HOST_CACHE_LIMIT = 150_000  # hosts in one cached list
 
 _cache: dict[tuple, ExtremalResult] = {}
-_host_cache: dict[tuple, list[Graph]] = {}
-
-
-def _remember(cache: dict, key: tuple, value, limit: int) -> None:
-    """Store key -> value, dropping the oldest keys beyond `limit`."""
-    cache[key] = value
-    while len(cache) > limit:
-        del cache[next(iter(cache))]
 
 
 def _family_key(forbidden: tuple[Graph, ...]) -> tuple:
     return tuple(sorted(canonical_cert(f) for f in forbidden))
 
 
-def _problem_cache_key(problem: SearchProblem, witness_cap: int) -> tuple:
+def _problem_cache_key(problem: SearchProblem, witness_cap: int,
+                       bounded: bool) -> tuple:
     obj = problem.objective
     return (
         problem.n,
@@ -143,12 +179,16 @@ def _problem_cache_key(problem: SearchProblem, witness_cap: int) -> tuple:
         canonical_cert(obj.pattern) if obj.pattern is not None else None,
         obj.k,
         witness_cap,
+        bounded,
     )
 
 
 def clear_cache() -> None:
     _cache.clear()
-    _host_cache.clear()
+
+
+class _OutOfTime(Exception):
+    """Raised by the walk's parent hook once the deadline has passed."""
 
 
 def brute_force_ex(problem: SearchProblem, *,
@@ -156,11 +196,25 @@ def brute_force_ex(problem: SearchProblem, *,
                    budget_seconds: float | None = None,
                    max_explored: int | None = None,
                    n_cap: int = DEFAULT_N_CAP,
-                   use_cache: bool = True) -> ExtremalResult:
+                   use_cache: bool = True,
+                   bounded: bool = False) -> ExtremalResult:
     """Exact maximum of the objective over all family-free n-vertex graphs.
 
     Exceeding `budget_seconds` or `max_explored` stops the search and returns
-    the best value seen with exhaustive=False."""
+    the best value seen with exhaustive=False.  The deadline is checked
+    between hosts and once per parent at level n - 1, so a walk that yields
+    nothing for a while still stops.
+
+    With `bounded`, a child at the last level whose value is below the best
+    value found so far is dropped before it is built or canonically tested,
+    and a parent none of whose children can reach that value is skipped:
+    every objective kind counts subgraph copies, so no child beats the one
+    whose new vertex is joined to the whole parent.  The running best never
+    exceeds the final maximum, so every extremal class is still produced
+    exactly once: `value`, `num_extremal`, `witnesses` and `exhaustive` are
+    those of the full search, while `explored` counts only the hosts
+    evaluated.  Full searches keep `explored` equal to the class count,
+    which shard merges and the `search` result line report."""
     if witness_cap < 1:
         raise ValueError(f"witness_cap must be >= 1, got {witness_cap}")
     if max_explored is not None and max_explored < 0:
@@ -173,57 +227,62 @@ def brute_force_ex(problem: SearchProblem, *,
     cacheable = (use_cache and budget_seconds is None and max_explored is None
                  and problem.roots is None)
     if cacheable:
-        key = _problem_cache_key(problem, witness_cap)
+        key = _problem_cache_key(problem, witness_cap, bounded)
         hit = _cache.get(key)
         if hit is not None:
             return hit
 
     forbidden = problem.forbidden
-    host_key = None
-    collected: list[Graph] | None = None
-    if problem.roots is not None:
-        roots = [decode_graph6(r) for r in problem.roots]
-        stream = enumerate_graphs(problem.n, forbidden, _roots=roots)
-    else:
-        host_key = (problem.n, _family_key(problem.forbidden))
-        cached_hosts = _host_cache.get(host_key)
-        if cached_hosts is not None:
-            stream = iter(cached_hosts)
-        else:
-            collected = [] if cacheable else None
-            stream = enumerate_graphs(problem.n, forbidden)
-
+    objective = problem.objective
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     best: int | None = None
+
+    def parent_hook(g: Graph):
+        if deadline is not None and time.monotonic() > deadline:
+            raise _OutOfTime
+        if not bounded or best is None:
+            return None
+        base = objective.evaluate(g)
+        gain = objective.increment(g)
+        # Every kind counts subgraph copies (exbar too: copies of each
+        # induced subgraph of its pattern), and an added edge removes none,
+        # so joining the new vertex to all of g gives the largest child.
+        if base + gain((1 << g.n) - 1) < best:
+            return False
+        # `best` is read when each subset is tested, so the bound tightens
+        # as the parent's children raise it.
+        return lambda s: base + gain(s) >= best
+
+    roots = None if problem.roots is None else [decode_graph6(r) for r in problem.roots]
+    stream = enumerate_graphs(problem.n, forbidden, _roots=roots,
+                              _parent_hook=parent_hook)
     witnesses: list[str] = []
     num_extremal = 0
     explored = 0
     exhaustive = True
-    objective = problem.objective
-    for g in stream:
-        if deadline is not None and time.monotonic() > deadline:
-            exhaustive = False
-            break
-        if max_explored is not None and explored >= max_explored:
-            exhaustive = False
-            break
-        if collected is not None:
-            collected.append(g)
-            if len(collected) > _HOST_CACHE_LIMIT:
-                collected = None  # too long to cache; stop holding it
-        explored += 1
-        value = objective.evaluate(g)
-        if best is None or value > best:
-            best = value
-            witnesses = [encode_graph6(canonical_graph(g))]
-            num_extremal = 1
-        elif value == best:
-            num_extremal += 1
-            w = encode_graph6(canonical_graph(g))
-            if w not in witnesses:
-                witnesses.append(w)
-                witnesses.sort()
-                del witnesses[witness_cap:]
+    try:
+        for g in stream:
+            if deadline is not None and time.monotonic() > deadline:
+                exhaustive = False
+                break
+            if max_explored is not None and explored >= max_explored:
+                exhaustive = False
+                break
+            explored += 1
+            value = objective.evaluate(g)
+            if best is None or value > best:
+                best = value
+                witnesses = [encode_graph6(canonical_graph(g))]
+                num_extremal = 1
+            elif value == best:
+                num_extremal += 1
+                w = encode_graph6(canonical_graph(g))
+                if w not in witnesses:
+                    witnesses.append(w)
+                    witnesses.sort()
+                    del witnesses[witness_cap:]
+    except _OutOfTime:
+        exhaustive = False
     # Post-search re-verification, independent of the enumerator's
     # incremental prune: every witness must decode to a family-free graph
     # attaining the reported value.
@@ -236,9 +295,9 @@ def brute_force_ex(problem: SearchProblem, *,
     result = ExtremalResult(problem.n, best, tuple(sorted(witnesses)),
                             num_extremal, explored, exhaustive)
     if cacheable and exhaustive:
-        _remember(_cache, key, result, _CACHE_KEYS)
-        if collected is not None and host_key is not None:
-            _remember(_host_cache, host_key, collected, _HOST_CACHE_KEYS)
+        _cache[key] = result
+        while len(_cache) > _CACHE_KEYS:
+            del _cache[next(iter(_cache))]
     return result
 
 

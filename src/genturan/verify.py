@@ -111,7 +111,7 @@ def _brute(n: int, forbidden: tuple[Graph, ...], objective: Objective,
     return brute_force_ex(problem, witness_cap=cfg.witness_cap,
                           budget_seconds=cfg.budget_seconds,
                           max_explored=cfg.max_explored,
-                          n_cap=n)
+                          n_cap=n, bounded=True)
 
 
 def _verdict(ok: bool, certified: bool) -> str:

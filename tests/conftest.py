@@ -124,8 +124,19 @@ def registry_usage() -> tuple[list[tuple[Graph, ...]], list[Graph]]:
     """The distinct forbidden families the verify registry searches, and the
     patterns whose automorphisms or orbits its counting and freeness prune
     read, recorded from one run of every check with a one-host budget."""
+    problems, patterns = _registry_run()
+    return list(dict.fromkeys(p.forbidden for p in problems)), patterns
+
+
+def registry_problems() -> list:
+    """The distinct search problems the verify registry issues, in the order
+    of a one-host-budget run of every check."""
+    return _registry_run()[0]
+
+
+def _registry_run() -> tuple[list, list[Graph]]:
     from genturan import counting, verify
-    families: dict[tuple[Graph, ...], None] = {}
+    problems: dict = {}
     patterns: dict[Graph, None] = {}
 
     def recorded(real, seen, key):
@@ -136,12 +147,12 @@ def registry_usage() -> tuple[list[tuple[Graph, ...]], list[Graph]]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "brute_force_ex", recorded(
-            verify.brute_force_ex, families, lambda problem: problem.forbidden))
+            verify.brute_force_ex, problems, lambda problem: problem))
         for name in ("automorphism_count", "_orbit_representatives"):
             mp.setattr(counting, name, recorded(
                 getattr(counting, name), patterns, lambda h: h))
         verify.run_all(verify.VerifyConfig(max_explored=1))
-    return list(families), list(patterns)
+    return list(problems), list(patterns)
 
 
 def every_subset_walk(n: int, forbidden=(), roots=None):

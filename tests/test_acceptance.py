@@ -6,6 +6,7 @@ suite doubles as a checklist (`pytest -s tests/test_acceptance.py`).
 
 from __future__ import annotations
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -31,6 +32,8 @@ from conftest import (naive_count_copies, naive_max_packing, package_env,
                       random_graph)
 
 K3 = complete(3)
+# sha256 of the `genturan verify all` CSV at the default n ranges.
+VERIFY_ALL_SHA256 = "d16ab3e76dfe4743bc711e3fdaf5fd782333eefa5e459bd7d4767baf370d1b4f"
 
 
 def _report(name: str, detail: str = "") -> None:
@@ -227,6 +230,8 @@ def test_criterion_9_determinism(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
         csvs.append(path.read_bytes())
     assert csvs[0] == csvs[1]
+    # Every search `verify` runs must reproduce these exact bytes.
+    assert hashlib.sha256(csvs[0]).hexdigest() == VERIFY_ALL_SHA256
 
     problem = SearchProblem(7, (copies(2, K3),), Objective.copies(K3))
     full = brute_force_ex(problem, use_cache=False)

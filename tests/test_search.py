@@ -6,16 +6,17 @@ import itertools
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from genturan import search
+from genturan import graphs as graph_module, search
 from genturan.constructions import erdos_value, prop61_value
 from genturan.counting import count_copies, is_family_free
 from genturan.graph6 import decode_graph6, encode_graph6
-from genturan.graphs import (Graph, automorphism_count, canonical_form,
+from genturan.graphs import (Graph, add_vertex, automorphism_count, canonical_form,
                              canonical_graph, complete, complete_bipartite,
                              copies, cycle, disjoint_union, enumerate_graphs,
                              is_connected, relabel, turan)
@@ -27,7 +28,7 @@ from genturan.search import (ExtremalResult, Objective, SearchProblem,
 
 from conftest import (all_labeled_graphs, every_subset_walk,
                       naive_isomorphism_classes, package_env, random_graph,
-                      registry_usage)
+                      registry_problems, registry_usage)
 
 K3 = complete(3)
 GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -389,32 +390,26 @@ def test_objective_rejects_fields_its_kind_ignores(text, field):
 
 def test_caches_drop_the_oldest_key_past_their_limit(monkeypatch):
     monkeypatch.setattr(search, "_cache", {})
-    monkeypatch.setattr(search, "_host_cache", {})
     monkeypatch.setattr(search, "_CACHE_KEYS", 3)
-    monkeypatch.setattr(search, "_HOST_CACHE_KEYS", 3)
-    # Four searches store four results and four host lists (n = 1..4): one
-    # key past each limit.
+    # Four searches store four results (n = 1..4): one key past the limit.
     problems = [SearchProblem(n, (), Objective.edges()) for n in range(1, 5)]
     for problem in problems:
         brute_force_ex(problem)
-    assert list(search._host_cache) == [(2, ()), (3, ()), (4, ())]
     assert [key[0] for key in search._cache] == [2, 3, 4]
     # A hit on a held key stores nothing, so nothing is dropped.
-    key = search._problem_cache_key(problems[1], search.DEFAULT_WITNESS_CAP)
+    key = search._problem_cache_key(problems[1], search.DEFAULT_WITNESS_CAP, False)
     assert brute_force_ex(problems[1]) is search._cache[key]
     assert [key[0] for key in search._cache] == [2, 3, 4]
 
 
-@pytest.mark.parametrize("limit,cached", [(33, False), (34, True)])
-def test_host_list_past_its_limit_is_not_cached(monkeypatch, limit, cached):
-    # n = 5 has 34 classes: a list one host past the limit is dropped while
-    # the search runs, one at the limit is kept; the result is the same.
+def test_cache_keeps_bounded_and_full_results_apart(monkeypatch):
     monkeypatch.setattr(search, "_cache", {})
-    monkeypatch.setattr(search, "_host_cache", {})
-    monkeypatch.setattr(search, "_HOST_CACHE_LIMIT", limit)
-    problem = SearchProblem(5, (), Objective.edges())
-    assert brute_force_ex(problem) == brute_force_ex(problem, use_cache=False)
-    assert list(search._host_cache) == ([(5, ())] if cached else [])
+    problem = SearchProblem(6, (K3,), Objective.edges())
+    bounded = brute_force_ex(problem, bounded=True)
+    full = brute_force_ex(problem)
+    assert full.explored == 38 and bounded.explored < 38
+    assert brute_force_ex(problem, bounded=True) is bounded
+    assert brute_force_ex(problem) is full
 
 
 def test_search_cap_guard():
@@ -448,3 +443,95 @@ def test_witness_recheck_raises_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("optimize 1 witness")
+
+
+# ---------------------------------------------------------------------------
+# Incumbent-bounded search
+# ---------------------------------------------------------------------------
+
+_P3 = complete_bipartite(1, 2)
+
+INCREMENT_OBJECTIVES = [
+    Objective.edges(), Objective.copies(K3), Objective.copies(complete(4)),
+    Objective.copies(cycle(4)), Objective.copies(complete_bipartite(2, 3)),
+    Objective.exstar(2), Objective.exstar(3), Objective.exbar(_P3),
+]
+
+
+@pytest.mark.parametrize("objective", INCREMENT_OBJECTIVES,
+                         ids=lambda o: serialize_problem(SearchProblem(0, (), o)).split(" ", 1)[1])
+def test_increment_is_the_exact_value_change(objective):
+    # value(g + a~s) == value(g) + increment(s) for every graph g on at most
+    # six vertices and every neighbour set s of the new vertex a; and the
+    # increment never falls when s grows, which the bounded search's parent
+    # skip relies on.
+    for m in range(7):
+        for g in enumerate_graphs(m):
+            base = objective.evaluate(g)
+            gain = objective.increment(g)
+            gains = [gain(s) for s in range(1 << m)]
+            for s, got in enumerate(gains):
+                assert objective.evaluate(add_vertex(g, s)) == base + got, (g.adj, s)
+                assert all(got <= gains[s | 1 << v] for v in range(m)), (g.adj, s)
+
+
+def _bounded_oracle_problems():
+    """Every registry problem at n <= 7; one n = 8 problem per objective
+    kind (the registry's first of that kind, raised to n = 8); and
+    2K3-free n = 9 for edges, last."""
+    registry = registry_problems()
+    firsts = {}
+    for p in registry:
+        firsts.setdefault(p.objective.kind, replace(p, n=8))
+    assert sorted(firsts) == ["copies", "edges", "exbar", "exstar"]
+    return ([p for p in registry if p.n <= 7] + list(firsts.values())
+            + [SearchProblem(9, (copies(2, K3),), Objective.edges())])
+
+
+def test_bounded_search_matches_full_search():
+    for problem in _bounded_oracle_problems():
+        full = brute_force_ex(problem, use_cache=False)
+        bounded = brute_force_ex(problem, use_cache=False, bounded=True)
+        assert (bounded.value, bounded.num_extremal, bounded.witnesses,
+                bounded.exhaustive) == (full.value, full.num_extremal,
+                                        full.witnesses, full.exhaustive), \
+            serialize_problem(problem)
+        assert bounded.explored <= full.explored
+    # On 2K3-free n = 9 the bound leaves 80 of the 36,121 classes to evaluate.
+    assert (bounded.explored, full.explored) == (80, 36121)
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_deadline_stops_the_walk_between_parents(monkeypatch, bounded):
+    # With no time left the walk ends at the first parent on level n - 1,
+    # before any of its children is looked for: one `_children` call per
+    # level above it.
+    real = graph_module._children
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "_children", counted)
+    problem = SearchProblem(9, (copies(2, K3),), Objective.edges())
+    r = brute_force_ex(problem, budget_seconds=0, use_cache=False, bounded=bounded)
+    assert not r.exhaustive
+    assert len(calls) <= problem.n
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: enumerate_graphs(65), "outside 0..64"),
+    (lambda: enumerate_graphs(-1), "outside 0..64"),
+    (lambda: enumerate_graphs(3, _roots=[complete(4)]), "more than n=3"),
+])
+def test_enumerate_graphs_checks_arguments_when_called(call, match):
+    # No `next`: the error comes from the call itself.
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_add_vertex_rejects_masks_outside_the_graph():
+    with pytest.raises(ValueError, match="outside 0..2"):
+        add_vertex(K3, 0b1000)
+    assert add_vertex(K3, 0b111).adj == complete(4).adj
