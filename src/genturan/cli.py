@@ -245,13 +245,25 @@ def _cmd_enumerate(args) -> int:
                          "pass --force if you mean it")
     forbidden = tuple(_read_family(args.forbid)) if args.forbid else ()
     count = 0
-    for g in enumerate_graphs(args.n, forbidden):
+    if args.canonical:
+        # The walk hands out the certificate each graph's acceptance test
+        # computed; only a start graph at level n (n = 0) has none.
+        stream = enumerate_graphs(args.n, forbidden, _node_hook=_keep_every_child)
+        graphs = (canonical_graph(g) if cert is None else Graph._make(g.n, cert)
+                  for g, _, cert in stream)
+    else:
+        graphs = enumerate_graphs(args.n, forbidden)
+    for g in graphs:
         count += 1
         if not args.count_only:
-            print(encode_graph6(canonical_graph(g) if args.canonical else g))
+            print(encode_graph6(g))
     if args.count_only:
         print(count)
     return 0
+
+
+def _keep_every_child(g: Graph, token) -> tuple[None, None]:
+    return None, None
 
 
 def _cmd_verify(args) -> int:

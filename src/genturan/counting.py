@@ -13,10 +13,12 @@ already-mapped neighbors, so candidate sets shrink to neighborhood
 intersections as early as possible.  The same search counts copies and
 induced copies, stops at a first hit for freeness tests, counts copies by
 how they meet a vertex set, and collects copy vertex sets for packing.  Pinned
-to an anchor vertex, it also collects, per map, the attach set and body the
-enumerator's blocked neighbour sets are built from (`packing.FreenessPrune`).
-|Aut(H)| and the pattern's vertex orbits come from the graphs module's
-canonical search.
+to an anchor vertex, it also tallies the maps by their attach set and body:
+the enumerator's blocked neighbour sets are built from the keys
+(`packing.FreenessPrune`), and the attachment tables that give an extremal
+search the value change of every one-vertex extension from the counts
+(`attachment_table`).  |Aut(H)| and the pattern's vertex orbits come from the
+graphs module's canonical search.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import (Graph, VerificationError, _orbit_representatives,
-                     automorphism_count, canonical_cert, empty_graph)
+                     _orbit_sizes, automorphism_count, canonical_cert, empty_graph)
 
 
 _Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
@@ -86,7 +88,7 @@ def count_injections(g: Graph, h: Graph) -> int:
 def _inject(g: Graph, plan: _Plan, limit: int | None = None,
             meet_mask: int = 0, meet_target: int = -1,
             anchor: int | None = None, found: set[int] | None = None,
-            attach: set[tuple[int, int]] | None = None) -> int:
+            attach: dict[tuple[int, int], int] | None = None) -> int:
     """Backtracking count of the injective maps of a pattern into g that
     follow its `_pattern_plan`: edge-preserving, and for an induced plan
     non-edge-preserving too.
@@ -96,9 +98,10 @@ def _inject(g: Graph, plan: _Plan, limit: int | None = None,
     that many vertices are counted.  With `anchor` set the plan's first
     pattern vertex is pinned to that host vertex.  With `found` set, the
     vertex set (a bitmask) of every counted map's image is added to it.
-    With `attach` set (and `anchor`), the pair (attach set, body) of every
-    counted map is added to it: the attach set is the image of the anchored
-    pattern vertex's neighbours, the body the image without the anchor.
+    With `attach` set (and `anchor`), every counted map is tallied in it
+    under the pair (attach set, body): the attach set is the image of the
+    anchored pattern vertex's neighbours, the body the image without the
+    anchor.
     """
     _, backs, nons = plan
     gadj = g.adj
@@ -119,7 +122,8 @@ def _inject(g: Graph, plan: _Plan, limit: int | None = None,
                     att = 0
                     for i in near:
                         att |= 1 << images[i]
-                    attach.add((att, used ^ 1 << anchor))
+                    key = (att, used ^ 1 << anchor)
+                    attach[key] = attach.get(key, 0) + 1
                 if limit is not None and count >= limit:
                     return True
             return False
@@ -165,6 +169,37 @@ def count_copies(g: Graph, h: Graph) -> int:
     if h.n < 1:
         raise ValueError("pattern needs at least one vertex")
     return _per_copy(count_injections(g, h), h)
+
+
+def attachment_table(host: Graph, h: Graph) -> dict[int, int]:
+    """The copies of h through the last vertex a of `host`, tallied by their
+    neighbourhood at a: {att: c}, c the number of copies whose edges at a go
+    to exactly the vertex set att.
+
+    With host = g plus a joined to all of g, the copies g + a~s has beyond
+    g's are those with att inside s, so the count grows by the sum of c over
+    att inside s.  Pinned to a, the plan of an orbit representative p finds
+    every copy whose a lies in p's orbit O, |Aut(h)|/|O| times and always
+    with the same att; weighted by |O|, each copy counts |Aut(h)| times, so
+    every entry divides exactly (checked)."""
+    a = host.n - 1
+    if not 1 <= h.n <= host.n:
+        return {}
+    sizes = _orbit_sizes(h)
+    maps: dict[int, int] = {}
+    for plan in _anchored_plans(h):
+        tally: dict[tuple[int, int], int] = {}
+        _inject(host, plan, anchor=a, attach=tally)
+        weight = sizes[plan[0][0]]
+        for (att, _), c in tally.items():
+            maps[att] = maps.get(att, 0) + weight * c
+    aut = automorphism_count(h)
+    table = {}
+    for att, c in maps.items():
+        table[att], rest = divmod(c, aut)
+        if rest:
+            raise VerificationError(f"map count {c} not divisible by |Aut| = {aut}")
+    return table
 
 
 def count_copies_meeting(g: Graph, h: Graph, meet: int, exactly: int) -> int:

@@ -11,7 +11,8 @@ search also returns a complete generating set of the automorphism group;
 every vertex-orbit answer (the enumerator's deletion orbit, the counting
 module's anchor orbits) and the group order come from those generators.  The
 enumerator carries each graph with its generators and extends it by one
-neighbour subset per orbit of its automorphism group.
+neighbour subset per orbit of its automorphism group; a caller's node hook can
+carry its own per-graph token down the walk beside them.
 """
 
 from __future__ import annotations
@@ -516,6 +517,13 @@ def automorphism_count(g: Graph) -> int:
 
 
 @lru_cache(maxsize=1024)
+def _orbit_sizes(h: Graph) -> tuple[int, ...]:
+    """The size of the Aut(h) orbit of every vertex of h."""
+    gens = _canon_search(h.adj, h.n).gens
+    return tuple(len(_orbit(v, gens)) for v in range(h.n))
+
+
+@lru_cache(maxsize=1024)
 def _orbit_representatives(h: Graph) -> tuple[int, ...]:
     """The least vertex of each orbit of Aut(h), ascending: the plans that
     pin one of them to an anchor vertex find every copy through that anchor."""
@@ -534,7 +542,9 @@ def _accept_child(adj: tuple[int, ...], n: int) -> _CanonResult | None:
     designated deletion orbit: the orbit of the vertex occupying the last
     canonical position, read from the search's complete generators.  Returns
     the child's canonical search when accepted, else None: its certificate
-    checks that siblings are distinct, and its generators are the child's
+    checks that siblings are distinct and is the child's `canonical_cert`
+    (the same refinement of the unit partition, then the same search), which
+    the walk hands out with the child; its generators are the child's
     automorphism group, which the walk hands on to the child's own children.
     The equitable partition refined here is the one the canonical search
     starts from; its last cell holds that orbit.
@@ -552,7 +562,7 @@ def _accept_child(adj: tuple[int, ...], n: int) -> _CanonResult | None:
 
 def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
                      _roots: Sequence[Graph] | None = None,
-                     _parent_hook=None) -> Iterator[Graph]:
+                     _node_hook=None) -> Iterator:
     """Yield one representative per isomorphism class of n-vertex graphs
     with no subgraph copy of any member of `forbidden`.
 
@@ -575,15 +585,20 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     its generators; below it, every graph carries the generators its
     acceptance test found.
 
-    `_parent_hook`, when given, is called once with each graph at level
-    n - 1, before its children are looked for.  It returns None to keep
-    every child, False to skip the parent (no blocked sets found, no subset
-    tried), or a predicate on the new vertex's neighbour mask that a child
-    must pass (see `_children`).  The predicate must hold for all of an
-    Aut(parent) orbit of masks or for none of it, and may only grow stricter
-    while the parent's children are walked.  An exception the hook raises
-    ends the walk.  Extremal searches use it for their incumbent bound and
-    their deadline.
+    `_node_hook`, when given, is called with every graph below level n,
+    before its children are looked for, and with the token its parent's
+    call returned (None for a start graph); it returns a pair (keep, token).
+    `keep` is None to keep every child, False to skip the graph (no blocked
+    sets found, no subset tried), or a predicate on the new vertex's
+    neighbour mask that a child must pass (see `_children`).  The predicate
+    must hold for all of an Aut(parent) orbit of masks or for none of it,
+    and may only grow stricter while the parent's children are walked.  An
+    exception the hook raises ends the walk.  With a hook the walk yields
+    triples (graph, token, cert): the token the graph's parent's call
+    returned and the graph's canonical certificate, which its acceptance
+    test computed (both None for a start graph at level n).  Extremal
+    searches use it to carry values down the walk, for their incumbent bound
+    and for their deadline.
 
     Arguments are checked when this is called, before the first `next`.
     """
@@ -594,38 +609,43 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
         raise ValueError(f"a root has more than n={n} vertices")
     # packing and counting build on this module
     from .packing import FreenessPrune
-    return _walk(start, n, FreenessPrune(forbidden, n), _parent_hook)
+    leaves = _walk(start, n, FreenessPrune(forbidden, n), _node_hook)
+    if _node_hook is None:
+        return (g for g, _, _ in leaves)
+    return leaves
 
 
-def _walk(start: list[Graph], n: int, prune, hook) -> Iterator[Graph]:
+def _walk(start: list[Graph], n: int, prune, hook) -> Iterator[tuple]:
     from .counting import is_family_free
     for g in start:
         if not is_family_free(g, prune.members):
             continue
         if g.n == n:
-            yield g
+            yield g, None, None
         else:
-            yield from _descend(g, _canon_search(g.adj, g.n).gens, n, prune, hook)
+            yield from _descend(g, _canon_search(g.adj, g.n).gens, n, prune,
+                                hook, None)
 
 
-def _descend(g: Graph, gens: list[tuple[int, ...]], n: int,
-             prune, hook) -> Iterator[Graph]:
+def _descend(g: Graph, gens: list[tuple[int, ...]], n: int, prune, hook,
+             token) -> Iterator[tuple]:
     keep = None
-    if hook is not None and g.n == n - 1:
-        keep = hook(g)
+    if hook is not None:
+        keep, token = hook(g, token)
         if keep is False:
             return
-    for child, child_gens in _children(g, gens, prune, keep):
+    for child, child_gens, cert in _children(g, gens, prune, keep):
         if child.n == n:
-            yield child
+            yield child, token, cert
         else:
-            yield from _descend(child, child_gens, n, prune, hook)
+            yield from _descend(child, child_gens, n, prune, hook, token)
 
 
 def _children(g: Graph, gens: list[tuple[int, ...]], prune,
-              keep=None) -> Iterator[tuple[Graph, list[tuple[int, ...]]]]:
+              keep=None) -> Iterator[tuple[Graph, list, tuple[int, ...]]]:
     """Accepted family-free one-vertex extensions of g, one per child
-    isomorphism class, each with generators of its automorphism group.
+    isomorphism class, each with generators of its automorphism group and
+    its canonical certificate.
 
     `gens` generate Aut(g).  The neighbour subsets of the new vertex are
     tried one per orbit of Aut(g), the least member of each: the filters and
@@ -635,7 +655,7 @@ def _children(g: Graph, gens: list[tuple[int, ...]], prune,
 
     Candidates run through the cheap filters first, in this order:
     - the degree filter;
-    - the predicate `keep`, when given (a parent hook's bound; see
+    - the predicate `keep`, when given (a node hook's bound; see
       `enumerate_graphs`);
     - the blocked-set test of `prune`: a subset holding one of g's blocked
       sets, found once here for all of g's children, makes a child with a
@@ -689,4 +709,4 @@ def _children(g: Graph, gens: list[tuple[int, ...]], prune,
         if res.cert in seen_certs:
             raise VerificationError("orbit-distinct siblings are isomorphic")
         seen_certs.add(res.cert)
-        yield child, res.gens
+        yield child, res.gens, res.cert

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, VerificationError, _bits, canonical_cert, component_masks
+from .graphs import (Graph, VerificationError, _bits, add_vertex, canonical_cert,
+                     component_masks)
 from .counting import _Plan, _anchored_plans, _inject, _pattern_plan, is_free
 
 
@@ -249,12 +250,12 @@ class FreenessPrune:
         full = (1 << m) - 1
         # Every map through a in a child is a map here whose attach set lies
         # inside that child's s.
-        host = Graph._make(m + 1, tuple(row | 1 << m for row in g.adj) + (full,))
+        host = add_vertex(g, full)
         hits: set[int] = set()
         for size, plans in self.connected:
             if size > m + 1:
                 continue
-            maps: set[tuple[int, int]] = set()
+            maps: dict[tuple[int, int], int] = {}
             for plan in plans:
                 _inject(host, plan, anchor=m, attach=maps)
             hits.update(att for att, _ in maps)
@@ -265,7 +266,7 @@ class FreenessPrune:
             for t, rest in anchors:
                 if any(len(masks[u]) < c for u, c in rest):
                     continue
-                maps = set()
+                maps = {}
                 for plan in self.type_plans[t]:
                     _inject(host, plan, anchor=m, attach=maps)
                 bodies: dict[int, list[int]] = {}

@@ -7,9 +7,18 @@ maximum with canonical witnesses.  Searches can be split into shards that
 partition the enumeration tree at a fixed depth; shard results merge
 associatively and order-independently back into the unsharded answer.
 
+Each host is counted once, by the walk that reaches it.  Every graph below
+the host level gets the attachment table of the objective, built in one
+anchored embedder pass over the graph plus a new vertex joined to all of it:
+the copies through the new vertex, tallied by their neighbourhood there.  A
+child's value is its parent's plus the sum of the entries whose neighbourhood
+lies inside the child's new-vertex neighbour set; the value travels down the
+walk with the table, and only the graphs the walk starts from are counted
+from scratch.  A host's witness label is the canonical certificate its
+acceptance test already computed.
+
 In bounded mode the walk drops, at the last level, every child whose value
-(the parent's plus the objective's exact increment at the new vertex) is
-below the best value found so far, before the child is built; the maximum,
+is below the best value found so far, before the child is built; the maximum,
 the extremal count and the witnesses are those of the full walk, but only
 the hosts that can still reach the running maximum are evaluated.
 """
@@ -17,14 +26,13 @@ the hosts that can still reach the running maximum are evaluated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 from .graphs import (Graph, VerificationError, add_vertex, canonical_cert,
                      canonical_graph, enumerate_graphs)
 from .graph6 import decode_graph6, encode_graph6
-from .counting import (count_copies, count_copies_meeting, count_induced_family,
-                       is_family_free)
+from .counting import (_induced_family_cached, attachment_table, count_copies,
+                       count_induced_family, is_family_free)
 
 DEFAULT_N_CAP = 10
 DEFAULT_WITNESS_CAP = 16
@@ -81,43 +89,39 @@ class Objective:
             return (self.k - 1) * g.edge_count() + count_copies(g, _K3)
         return count_induced_family(g, self.pattern)
 
-    def increment(self, g: Graph) -> Callable[[int], int]:
-        """The map s -> value(g + a) - value(g), where the new vertex a = g.n
-        is joined to the vertex set s (a bitmask).
+    def increment(self, g: Graph) -> dict[int, int]:
+        """The attachment table of g: {att: c} with value(g + a~s) -
+        value(g) = `gain(table, s)`, the sum of c over att inside s, where
+        the new vertex a = g.n is joined to the vertex set s (a bitmask).
 
-        Computed on masks for edges, copies of a complete graph and exstar;
-        any other pattern is counted through a on the built child."""
-        adj = g.adj
+        One anchored embedder pass over g plus a joined to all of g
+        (`counting.attachment_table`): copies of the pattern for copies,
+        edges (copies of K2) for edges, (k-1) times the edge table plus the
+        triangle table for exstar, and the sum of the member tables of the
+        pattern's induced family for exbar.  Every entry counts copies, so
+        the increment never falls when s grows."""
+        host = add_vertex(g, (1 << g.n) - 1)
         if self.kind == "edges":
-            return int.bit_count
-        if self.kind == "exstar":
-            k = self.k
-            return lambda s: (k - 1) * s.bit_count() + _cliques_in(adj, s, 2)
+            return attachment_table(host, _K2)
         if self.kind == "copies":
-            h = self.pattern
-            if all(row.bit_count() == h.n - 1 for row in h.adj):
-                return lambda s: _cliques_in(adj, s, h.n - 1)
-            a = 1 << g.n
-            return lambda s: count_copies_meeting(add_vertex(g, s), h, a, 1)
-        base = self.evaluate(g)
-        return lambda s: self.evaluate(add_vertex(g, s)) - base
+            return attachment_table(host, self.pattern)
+        if self.kind == "exstar":
+            parts = [(self.k - 1, _K2), (1, _K3)]
+        else:
+            parts = [(1, h) for h in _induced_family_cached(self.pattern)]
+        table: dict[int, int] = {}
+        for weight, h in parts:
+            for att, c in attachment_table(host, h).items():
+                table[att] = table.get(att, 0) + weight * c
+        return table
 
 
-def _cliques_in(adj: tuple[int, ...], s: int, r: int) -> int:
-    """Number of r-vertex cliques inside the vertex set s (1 for r = 0)."""
-    if r == 0:
-        return 1
-    if r == 1:
-        return s.bit_count()
-    total = 0
-    while s:
-        low = s & -s
-        s ^= low
-        # Each clique is counted from its lowest vertex.
-        total += _cliques_in(adj, s & adj[low.bit_length() - 1], r - 1)
-    return total
+def gain(table: dict[int, int], s: int) -> int:
+    """The value change an attachment table gives the new vertex joined to s."""
+    return sum([c for att, c in table.items() if att & s == att])
 
 
+_K2 = Graph(2, (0b10, 0b01))
 _K3 = Graph(3, (0b110, 0b101, 0b011))
 
 
@@ -148,7 +152,10 @@ class ExtremalResult:
     canonically-least extremal classes as canonical graph6, `num_extremal`
     the exact number of extremal classes, `explored` the number of
     family-free hosts evaluated: every class in a full search, only those
-    the incumbent bound kept in a bounded one."""
+    the incumbent bound kept in a bounded one.  `problem_key` identifies the
+    problem up to relabelling its graphs, so that `merge` can refuse results
+    of different problems; it takes no part in equality and is not
+    printed."""
 
     n: int
     value: int | None
@@ -156,6 +163,7 @@ class ExtremalResult:
     num_extremal: int
     explored: int
     exhaustive: bool
+    problem_key: tuple = field(compare=False, repr=False)
 
 
 # The result cache holds at most this many keys and drops the oldest first;
@@ -169,8 +177,10 @@ def _family_key(forbidden: tuple[Graph, ...]) -> tuple:
     return tuple(sorted(canonical_cert(f) for f in forbidden))
 
 
-def _problem_cache_key(problem: SearchProblem, witness_cap: int,
-                       bounded: bool) -> tuple:
+def _problem_key(problem: SearchProblem) -> tuple:
+    """The problem's host size, forbidden family, objective kind, pattern
+    and k, graphs by canonical certificate; shards (`roots`) of one problem
+    share it."""
     obj = problem.objective
     return (
         problem.n,
@@ -178,9 +188,12 @@ def _problem_cache_key(problem: SearchProblem, witness_cap: int,
         obj.kind,
         canonical_cert(obj.pattern) if obj.pattern is not None else None,
         obj.k,
-        witness_cap,
-        bounded,
     )
+
+
+def _problem_cache_key(problem: SearchProblem, witness_cap: int,
+                       bounded: bool) -> tuple:
+    return _problem_key(problem) + (witness_cap, bounded)
 
 
 def clear_cache() -> None:
@@ -188,7 +201,17 @@ def clear_cache() -> None:
 
 
 class _OutOfTime(Exception):
-    """Raised by the walk's parent hook once the deadline has passed."""
+    """Raised by the walk's node hook once the deadline has passed."""
+
+
+def _value(objective: Objective, g: Graph, token) -> int:
+    """The objective's value on g, from the token of g's parent (its value
+    and attachment table) and g's new vertex, the last one; counted from
+    scratch for a start graph, whose token is None."""
+    if token is None:
+        return objective.evaluate(g)
+    value, table = token
+    return value + gain(table, g.adj[-1])
 
 
 def brute_force_ex(problem: SearchProblem, *,
@@ -200,16 +223,22 @@ def brute_force_ex(problem: SearchProblem, *,
                    bounded: bool = False) -> ExtremalResult:
     """Exact maximum of the objective over all family-free n-vertex graphs.
 
+    Every value is carried down the walk: each graph below level n gets the
+    attachment table of its objective (`Objective.increment`), and a child's
+    value is its parent's plus the table's gain at the child's new vertex;
+    only the start graphs are counted from scratch.  A host's witness label
+    is the certificate its acceptance test computed.
+
     Exceeding `budget_seconds` or `max_explored` stops the search and returns
     the best value seen with exhaustive=False.  The deadline is checked
-    between hosts and once per parent at level n - 1, so a walk that yields
+    between hosts and once per graph below level n, so a walk that yields
     nothing for a while still stops.
 
     With `bounded`, a child at the last level whose value is below the best
     value found so far is dropped before it is built or canonically tested,
     and a parent none of whose children can reach that value is skipped:
-    every objective kind counts subgraph copies, so no child beats the one
-    whose new vertex is joined to the whole parent.  The running best never
+    every table entry counts copies, so no child beats the one whose new
+    vertex is joined to the whole parent.  The running best never
     exceeds the final maximum, so every extremal class is still produced
     exactly once: `value`, `num_extremal`, `witnesses` and `exhaustive` are
     those of the full search, while `explored` counts only the hosts
@@ -236,32 +265,33 @@ def brute_force_ex(problem: SearchProblem, *,
     objective = problem.objective
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     best: int | None = None
+    last = problem.n - 1
 
-    def parent_hook(g: Graph):
+    def node_hook(g: Graph, token):
         if deadline is not None and time.monotonic() > deadline:
             raise _OutOfTime
-        if not bounded or best is None:
-            return None
-        base = objective.evaluate(g)
-        gain = objective.increment(g)
-        # Every kind counts subgraph copies (exbar too: copies of each
-        # induced subgraph of its pattern), and an added edge removes none,
-        # so joining the new vertex to all of g gives the largest child.
-        if base + gain((1 << g.n) - 1) < best:
-            return False
+        value = _value(objective, g, token)
+        table = objective.increment(g)
+        token = (value, table)
+        if not bounded or best is None or g.n != last:
+            return None, token
+        # Every table entry counts copies, so joining the new vertex to all
+        # of g gives the largest child.
+        if value + sum(table.values()) < best:
+            return False, token
         # `best` is read when each subset is tested, so the bound tightens
         # as the parent's children raise it.
-        return lambda s: base + gain(s) >= best
+        return (lambda s: value + gain(table, s) >= best), token
 
     roots = None if problem.roots is None else [decode_graph6(r) for r in problem.roots]
     stream = enumerate_graphs(problem.n, forbidden, _roots=roots,
-                              _parent_hook=parent_hook)
+                              _node_hook=node_hook)
     witnesses: list[str] = []
     num_extremal = 0
     explored = 0
     exhaustive = True
     try:
-        for g in stream:
+        for g, token, cert in stream:
             if deadline is not None and time.monotonic() > deadline:
                 exhaustive = False
                 break
@@ -269,14 +299,18 @@ def brute_force_ex(problem: SearchProblem, *,
                 exhaustive = False
                 break
             explored += 1
-            value = objective.evaluate(g)
+            value = _value(objective, g, token)
+            if best is not None and value < best:
+                continue
+            # The acceptance test labelled every graph below the start graphs.
+            label = canonical_graph(g) if cert is None else Graph._make(g.n, cert)
             if best is None or value > best:
                 best = value
-                witnesses = [encode_graph6(canonical_graph(g))]
+                witnesses = [encode_graph6(label)]
                 num_extremal = 1
-            elif value == best:
+            else:
                 num_extremal += 1
-                w = encode_graph6(canonical_graph(g))
+                w = encode_graph6(label)
                 if w not in witnesses:
                     witnesses.append(w)
                     witnesses.sort()
@@ -293,7 +327,8 @@ def brute_force_ex(problem: SearchProblem, *,
         if objective.evaluate(wg) != best:
             raise VerificationError(f"witness {w} misses the maximum {best}")
     result = ExtremalResult(problem.n, best, tuple(sorted(witnesses)),
-                            num_extremal, explored, exhaustive)
+                            num_extremal, explored, exhaustive,
+                            _problem_key(problem))
     if cacheable and exhaustive:
         _cache[key] = result
         while len(_cache) > _CACHE_KEYS:
@@ -339,14 +374,15 @@ def shard(problem: SearchProblem, parts: int) -> list[SearchProblem]:
 def merge(results: list[ExtremalResult] | tuple[ExtremalResult, ...],
           witness_cap: int = DEFAULT_WITNESS_CAP) -> ExtremalResult:
     """Combine shard results: max of values, witnesses unioned at the max,
-    explored counts summed.  Associative and order-independent."""
+    explored counts summed.  Associative and order-independent.  Results
+    whose problem keys differ are refused."""
     if witness_cap < 1:
         raise ValueError(f"witness_cap must be >= 1, got {witness_cap}")
     results = list(results)
     if not results:
         raise ValueError("nothing to merge")
-    n = results[0].n
-    if any(r.n != n for r in results):
+    n, key = results[0].n, results[0].problem_key
+    if any(r.problem_key != key for r in results):
         raise ValueError("results belong to different problems")
     values = [r.value for r in results if r.value is not None]
     best = max(values) if values else None
@@ -363,6 +399,7 @@ def merge(results: list[ExtremalResult] | tuple[ExtremalResult, ...],
         num_extremal=num_extremal,
         explored=sum(r.explored for r in results),
         exhaustive=all(r.exhaustive for r in results),
+        problem_key=key,
     )
 
 

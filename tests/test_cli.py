@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from genturan.cli import main
-from genturan.graph6 import decode_graph6
-from genturan.graphs import (are_isomorphic, complete, complete_bipartite,
-                             join, turan)
+from genturan.graph6 import decode_graph6, encode_graph6
+from genturan.graphs import (are_isomorphic, canonical_graph, complete,
+                             complete_bipartite, enumerate_graphs, join, turan)
+from genturan.gspec import parse_spec
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +112,18 @@ def test_enumerate_counts(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--canonical")
     assert code == 0
     assert len(out.strip().split("\n")) == 11
+
+
+@pytest.mark.parametrize("n,forbid", [(n, ()) for n in range(8)] + [(8, ("2*K3",))])
+def test_enumerate_canonical_matches_canonical_graph(capsys, n, forbid):
+    # The certificates the walk hands out print exactly what a second
+    # canonical search per graph would.
+    argv = ("--forbid",) + forbid if forbid else ()
+    code, out, _ = run_cli(capsys, "enumerate", "--n", str(n), "--canonical", *argv)
+    family = [parse_spec(f).build() for f in forbid]
+    want = "".join(encode_graph6(canonical_graph(g)) + "\n"
+                   for g in enumerate_graphs(n, family))
+    assert code == 0 and out == want
 
 
 @pytest.mark.parametrize("argv,message", [

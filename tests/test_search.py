@@ -16,10 +16,10 @@ from genturan import graphs as graph_module, search
 from genturan.constructions import erdos_value, prop61_value
 from genturan.counting import count_copies, is_family_free
 from genturan.graph6 import decode_graph6, encode_graph6
-from genturan.graphs import (Graph, add_vertex, automorphism_count, canonical_form,
-                             canonical_graph, complete, complete_bipartite,
-                             copies, cycle, disjoint_union, enumerate_graphs,
-                             is_connected, relabel, turan)
+from genturan.graphs import (Graph, add_vertex, automorphism_count, canonical_cert,
+                             canonical_form, canonical_graph, complete,
+                             complete_bipartite, copies, cycle, disjoint_union,
+                             enumerate_graphs, is_connected, relabel, turan)
 from genturan.packing import FreenessPrune
 from genturan.search import (ExtremalResult, Objective, SearchProblem,
                              brute_force_ex, exbar_brute, exstar_brute, merge,
@@ -451,25 +451,33 @@ def test_witness_recheck_raises_under_optimize():
 
 _P3 = complete_bipartite(1, 2)
 
+_2K2 = copies(2, complete(2))
+_K13 = complete_bipartite(1, 3)
+
 INCREMENT_OBJECTIVES = [
     Objective.edges(), Objective.copies(K3), Objective.copies(complete(4)),
     Objective.copies(cycle(4)), Objective.copies(complete_bipartite(2, 3)),
+    Objective.copies(_2K2), Objective.copies(_P3), Objective.copies(_K13),
     Objective.exstar(2), Objective.exstar(3), Objective.exbar(_P3),
+    Objective.exbar(cycle(4)),
 ]
 
 
-@pytest.mark.parametrize("objective", INCREMENT_OBJECTIVES,
-                         ids=lambda o: serialize_problem(SearchProblem(0, (), o)).split(" ", 1)[1])
+def _objective_id(objective):
+    return serialize_problem(SearchProblem(0, (), objective)).split(" ", 1)[1]
+
+
+@pytest.mark.parametrize("objective", INCREMENT_OBJECTIVES, ids=_objective_id)
 def test_increment_is_the_exact_value_change(objective):
-    # value(g + a~s) == value(g) + increment(s) for every graph g on at most
-    # six vertices and every neighbour set s of the new vertex a; and the
-    # increment never falls when s grows, which the bounded search's parent
+    # value(g + a~s) == value(g) + gain(increment(g), s) for every graph g on
+    # at most six vertices and every neighbour set s of the new vertex a; and
+    # the gain never falls when s grows, which the bounded search's parent
     # skip relies on.
     for m in range(7):
         for g in enumerate_graphs(m):
             base = objective.evaluate(g)
-            gain = objective.increment(g)
-            gains = [gain(s) for s in range(1 << m)]
+            table = objective.increment(g)
+            gains = [search.gain(table, s) for s in range(1 << m)]
             for s, got in enumerate(gains):
                 assert objective.evaluate(add_vertex(g, s)) == base + got, (g.adj, s)
                 assert all(got <= gains[s | 1 << v] for v in range(m)), (g.adj, s)
@@ -501,11 +509,64 @@ def test_bounded_search_matches_full_search():
     assert (bounded.explored, full.explored) == (80, 36121)
 
 
+def test_carried_values_match_fresh_counts():
+    # Every host the walk yields to a search, in both modes, carries a value
+    # (its parent's plus the parent's attachment table at its new vertex)
+    # equal to a from-scratch count, and a certificate equal to a fresh
+    # canonical search's.  Each host is checked as it is yielded, before the
+    # search's own witness re-check could stop the run.
+    real = search.enumerate_graphs
+    current = {}
+
+    def checking(n, forbidden, **kwargs):
+        problem, bounded = current["problem"], current["bounded"]
+        objective = problem.objective
+        for g, token, cert in real(n, forbidden, **kwargs):
+            assert search._value(objective, g, token) == objective.evaluate(g), \
+                (serialize_problem(problem), bounded, g.adj)
+            assert cert == canonical_cert(g), (serialize_problem(problem), g.adj)
+            current["hosts"] += 1
+            yield g, token, cert
+
+    def check(problems):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "enumerate_graphs", checking)
+            for problem in problems:
+                for bounded in (False, True):
+                    current.update(problem=problem, bounded=bounded, hosts=0)
+                    brute_force_ex(problem, use_cache=False, bounded=bounded)
+                    assert current["hosts"], serialize_problem(problem)
+
+    check([SearchProblem(n, (K3,), Objective.copies(h))
+           for h in (_2K2, _P3, cycle(5), _K13) for n in (6, 7)]
+          + [SearchProblem(7, (cycle(4),), Objective.copies(h))
+             for h in (_2K2, _P3, _K13)])
+    check([p for p in registry_problems() if p.n <= 7])
+
+
+def test_merge_refuses_results_of_different_problems():
+    problem = SearchProblem(6, (cycle(4),), Objective.copies(_P3))
+    relabelled = SearchProblem(6, (relabel(cycle(4), [0, 2, 1, 3]),),
+                               Objective.copies(relabel(_P3, [1, 0, 2])))
+    # One shard of each: relabelled graphs make the same problem.
+    parts = [shard(problem, 2)[0], shard(relabelled, 2)[1]]
+    merged = merge([brute_force_ex(p) for p in parts])
+    full = brute_force_ex(problem, use_cache=False)
+    assert (merged.value, merged.num_extremal, merged.witnesses) == \
+        (full.value, full.num_extremal, full.witnesses)
+    assert merged.problem_key == full.problem_key
+    assert "problem_key" not in repr(full)
+    other = brute_force_ex(SearchProblem(6, (cycle(4),), Objective.copies(_2K2)))
+    edges = brute_force_ex(SearchProblem(6, (cycle(4),), Objective.edges()))
+    for pair in ([full, other], [full, edges], [merged, other]):
+        with pytest.raises(ValueError, match="different problems"):
+            merge(pair)
+
+
 @pytest.mark.parametrize("bounded", [False, True])
 def test_deadline_stops_the_walk_between_parents(monkeypatch, bounded):
-    # With no time left the walk ends at the first parent on level n - 1,
-    # before any of its children is looked for: one `_children` call per
-    # level above it.
+    # With no time left the walk ends at the first graph whose node hook
+    # runs, before any of its children is looked for.
     real = graph_module._children
     calls = []
 
