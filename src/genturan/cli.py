@@ -20,10 +20,13 @@ from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .graphs import Graph, canonical_graph, enumerate_graphs
 from .gspec import SpecError, parse_spec, parse_spec_list
 from .packing import canonical_partition, max_disjoint_packing
-from .search import (DEFAULT_N_CAP, DEFAULT_WITNESS_CAP, Objective,
-                     SearchProblem, brute_force_ex, merge, result_line, shard)
+from .search import (DEFAULT_WITNESS_CAP, Objective, SearchProblem,
+                     brute_force_ex, merge, result_line, shard)
 from .verify import (FAIL, VerifyConfig, emit_report, registry_ids,
                      run_all, run_check)
+
+# `search` and `enumerate` refuse a larger --n unless --force is given.
+DEFAULT_N_CAP = 10
 
 
 class UsageError(ValueError):
@@ -218,10 +221,16 @@ def _build_objective(args) -> Objective:
     return Objective(kind, pattern=pattern, k=args.k)
 
 
+def _check_n_cap(args) -> None:
+    if args.n > DEFAULT_N_CAP and not args.force:
+        raise UsageError(f"--n {args.n} exceeds the cap {DEFAULT_N_CAP}; "
+                         "pass --force if you mean it")
+
+
 def _cmd_search(args) -> int:
+    _check_n_cap(args)
     forbidden = tuple(_read_family(args.forbid)) if args.forbid else ()
     problem = SearchProblem(args.n, forbidden, _build_objective(args))
-    n_cap = max(args.n, DEFAULT_N_CAP) if args.force else DEFAULT_N_CAP
     # One budget for the whole run: each shard gets what the earlier ones left.
     seconds, left = args.budget_seconds, args.max_explored
     deadline = None if seconds is None else time.monotonic() + seconds
@@ -230,8 +239,7 @@ def _cmd_search(args) -> int:
         if deadline is not None:
             seconds = max(0.0, deadline - time.monotonic())
         results.append(brute_force_ex(piece, witness_cap=args.witness_cap,
-                                      budget_seconds=seconds, max_explored=left,
-                                      n_cap=n_cap))
+                                      budget_seconds=seconds, max_explored=left))
         if left is not None:
             left -= results[-1].explored
     result = merge(results, witness_cap=args.witness_cap)
@@ -240,9 +248,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n > DEFAULT_N_CAP and not args.force:
-        raise UsageError(f"--n {args.n} exceeds the cap {DEFAULT_N_CAP}; "
-                         "pass --force if you mean it")
+    _check_n_cap(args)
     forbidden = tuple(_read_family(args.forbid)) if args.forbid else ()
     count = 0
     if args.canonical:

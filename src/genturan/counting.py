@@ -15,10 +15,10 @@ induced copies, stops at a first hit for freeness tests, counts copies by
 how they meet a vertex set, and collects copy vertex sets for packing.  Pinned
 to an anchor vertex, it also tallies the maps by their attach set and body:
 the enumerator's blocked neighbour sets are built from the keys
-(`packing.FreenessPrune`), and the attachment tables that give an extremal
-search the value change of every one-vertex extension from the counts
-(`attachment_table`).  |Aut(H)| and the pattern's vertex orbits come from the
-graphs module's canonical search.
+(`packing.FreenessPrune`), and from the counts the attachment table of a
+weighted sum of patterns, which gives an extremal search the value change of
+every one-vertex extension (`attachment_table`).  |Aut(H)| and the pattern's
+vertex orbits come from the graphs module's canonical search.
 """
 
 from __future__ import annotations
@@ -171,34 +171,39 @@ def count_copies(g: Graph, h: Graph) -> int:
     return _per_copy(count_injections(g, h), h)
 
 
-def attachment_table(host: Graph, h: Graph) -> dict[int, int]:
-    """The copies of h through the last vertex a of `host`, tallied by their
-    neighbourhood at a: {att: c}, c the number of copies whose edges at a go
-    to exactly the vertex set att.
+def attachment_table(host: Graph, terms) -> dict[int, int]:
+    """The weighted copies of the patterns through the last vertex a of
+    `host`, tallied by their neighbourhood at a: {att: c}, c the sum over the
+    (weight, pattern) `terms` of weight times the number of copies whose
+    edges at a go to exactly the vertex set att.
 
     With host = g plus a joined to all of g, the copies g + a~s has beyond
-    g's are those with att inside s, so the count grows by the sum of c over
-    att inside s.  Pinned to a, the plan of an orbit representative p finds
-    every copy whose a lies in p's orbit O, |Aut(h)|/|O| times and always
-    with the same att; weighted by |O|, each copy counts |Aut(h)| times, so
-    every entry divides exactly (checked)."""
+    g's are those with att inside s, so the weighted count grows by the sum
+    of c over att inside s.  Pinned to a, the plan of an orbit
+    representative p finds every copy whose a lies in p's orbit O,
+    |Aut(h)|/|O| times and always with the same att; weighted by |O|, each
+    copy counts |Aut(h)| times, so every entry of a term divides exactly
+    (checked) before it is weighted and added.  A pattern with no vertex, or
+    more than the host's, adds nothing."""
     a = host.n - 1
-    if not 1 <= h.n <= host.n:
-        return {}
-    sizes = _orbit_sizes(h)
-    maps: dict[int, int] = {}
-    for plan in _anchored_plans(h):
-        tally: dict[tuple[int, int], int] = {}
-        _inject(host, plan, anchor=a, attach=tally)
-        weight = sizes[plan[0][0]]
-        for (att, _), c in tally.items():
-            maps[att] = maps.get(att, 0) + weight * c
-    aut = automorphism_count(h)
-    table = {}
-    for att, c in maps.items():
-        table[att], rest = divmod(c, aut)
-        if rest:
-            raise VerificationError(f"map count {c} not divisible by |Aut| = {aut}")
+    table: dict[int, int] = {}
+    for weight, h in terms:
+        if not 1 <= h.n <= host.n:
+            continue
+        sizes = _orbit_sizes(h)
+        maps: dict[int, int] = {}
+        for plan in _anchored_plans(h):
+            tally: dict[tuple[int, int], int] = {}
+            _inject(host, plan, anchor=a, attach=tally)
+            orbit = sizes[plan[0][0]]
+            for (att, _), c in tally.items():
+                maps[att] = maps.get(att, 0) + orbit * c
+        aut = automorphism_count(h)
+        for att, c in maps.items():
+            copies, rest = divmod(c, aut)
+            if rest:
+                raise VerificationError(f"map count {c} not divisible by |Aut| = {aut}")
+            table[att] = table.get(att, 0) + weight * copies
     return table
 
 

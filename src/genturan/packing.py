@@ -7,10 +7,12 @@ bound.  The copy vertex sets come from the counting module's embedder,
 `counting._inject`, which collects the image of every map.  The partition
 built from a maximum packing puts the packed vertices on one side (L) and the
 rest (R); the R-induced subgraph is always F-free, which is checked.  The
-enumerator's freeness test lives here too, since it packs component copies:
-per parent it finds the neighbour sets of a new vertex that would create a
-forbidden copy (`FreenessPrune.blocked`), and the enumerator then filters
-candidates by degree, blocked set, orbit and canonical test, in that order.
+enumerator's freeness test lives here too, since it packs component copies.
+It treats every forbidden member as a union of component types, one type for
+a connected member.  Per parent it finds the neighbour sets of a new vertex
+that would create a forbidden copy (`FreenessPrune.blocked`), and the
+enumerator then filters candidates by degree, blocked set, orbit and
+canonical test, in that order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .graphs import (Graph, VerificationError, _bits, add_vertex, canonical_cert,
                      component_masks)
-from .counting import _Plan, _anchored_plans, _inject, _pattern_plan, is_free
+from .counting import _anchored_plans, _inject, _pattern_plan, is_free
 
 
 @dataclass(frozen=True)
@@ -49,17 +51,14 @@ class CanonicalPartition:
     packing: Packing
 
 
-def copy_vertex_sets(g: Graph, f: Graph, anchor: int | None = None) -> list[int]:
-    """Distinct vertex sets (as bitmasks, ascending) spanning a copy of f in g;
-    with `anchor` set, only those that hold that vertex."""
+def copy_vertex_sets(g: Graph, f: Graph) -> list[int]:
+    """Distinct vertex sets (as bitmasks, ascending) spanning a copy of f in g."""
     if f.n < 1:
         raise ValueError("pattern needs at least one vertex")
     if f.n > g.n:
         return []
     found: set[int] = set()
-    plans = [_pattern_plan(f)] if anchor is None else _anchored_plans(f)
-    for plan in plans:
-        _inject(g, plan, anchor=anchor, found=found)
+    _inject(g, _pattern_plan(f), found=found)
     return sorted(found)
 
 
@@ -197,12 +196,12 @@ class FreenessPrune:
 
     The enumerator extends only family-free graphs, so a child g + a, with
     the new vertex a joined to s, contains a forbidden member F only through
-    a: some map of F sends a pattern vertex v to a and the rest into g, and
-    the image of v's pattern neighbours, its attach set, lies inside s.  For
-    F = F1 u ... u Fr disconnected (such as kF) that map covers one
-    component, and the other components must also pack, pairwise disjoint,
-    inside g away from the map's body; whether they do depends on the map,
-    not on s.
+    a.  Every member is a union of components, F = F1 u ... u Fr (r = 1 for
+    a connected F): some map of a component Fi sends a pattern vertex v to a
+    and the rest into g, the image of v's pattern neighbours, its attach
+    set, lies inside s, and the other components (the `rest`, empty when F
+    is connected) pack, pairwise disjoint, inside g away from the map's
+    body; whether they do depends on the map, not on s.
 
     So `blocked(g)` is computed once per parent, from the anchored maps into
     g plus a vertex joined to all of g, and a candidate s is rejected when
@@ -214,20 +213,15 @@ class FreenessPrune:
 
     def __init__(self, forbidden, n: int):
         self.members = [f for f in forbidden if f.n <= n]
-        # Per connected member: its vertex count and anchored plans.
-        self.connected: list[tuple[int, list[_Plan]]] = []
+        # Component types, shared by all members, up to isomorphism.
         self.types: list[Graph] = []
-        # Per disconnected member: its vertex count and, for each component
-        # type that can hold a, the (type, count) copies the parent must hold.
-        self.unions: list[tuple[int, list[tuple[int, list[tuple[int, int]]]]]] = []
+        # Per member: its vertex count and, for each component type that can
+        # hold a, the (type, count) copies the parent must also pack.
+        self.anchors: list[tuple[int, list[tuple[int, list[tuple[int, int]]]]]] = []
         type_index: dict[tuple[int, ...], int] = {}
         for f in self.members:
-            parts = component_masks(f)
-            if len(parts) <= 1:
-                self.connected.append((f.n, _anchored_plans(f)))
-                continue
             counts: dict[int, int] = {}
-            for part in parts:
+            for part in component_masks(f):
                 comp = f.induced_mask(part)
                 key = canonical_cert(comp)
                 if key not in type_index:
@@ -239,8 +233,11 @@ class FreenessPrune:
             for t in counts:
                 rest = [(u, c - (u == t)) for u, c in counts.items() if c - (u == t)]
                 anchors.append((t, rest))
-            self.unions.append((f.n, anchors))
+            self.anchors.append((f.n, anchors))
         self.type_plans = [_anchored_plans(t) for t in self.types]
+        # Only the types some rest must pack are searched for in the parent.
+        self.packed = {u for _, anchors in self.anchors
+                       for _, rest in anchors for u, _ in rest}
 
     def blocked(self, g: Graph) -> list[int]:
         """The inclusion-minimal blocked sets of the family-free parent g,
@@ -252,23 +249,19 @@ class FreenessPrune:
         # inside that child's s.
         host = add_vertex(g, full)
         hits: set[int] = set()
-        for size, plans in self.connected:
-            if size > m + 1:
-                continue
-            maps: dict[tuple[int, int], int] = {}
-            for plan in plans:
-                _inject(host, plan, anchor=m, attach=maps)
-            hits.update(att for att, _ in maps)
-        masks = [copy_vertex_sets(g, t) for t in self.types]
-        for size, anchors in self.unions:
+        masks = {u: copy_vertex_sets(g, self.types[u]) for u in self.packed}
+        for size, anchors in self.anchors:
             if size > m + 1:
                 continue
             for t, rest in anchors:
                 if any(len(masks[u]) < c for u, c in rest):
                     continue
-                maps = {}
+                maps: dict[tuple[int, int], int] = {}
                 for plan in self.type_plans[t]:
                     _inject(host, plan, anchor=m, attach=maps)
+                if not rest:
+                    hits.update(att for att, _ in maps)
+                    continue
                 bodies: dict[int, list[int]] = {}
                 for att, body in maps:
                     bodies.setdefault(body, []).append(att)

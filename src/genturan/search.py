@@ -7,15 +7,21 @@ maximum with canonical witnesses.  Searches can be split into shards that
 partition the enumeration tree at a fixed depth; shard results merge
 associatively and order-independently back into the unsharded answer.
 
+Every objective is a weighted sum of copy counts, its (weight, pattern)
+terms: edges are copies of K2, exstar is (k-1) edges plus triangles, exbar
+the members of a pattern's induced family.  Results are cached and merged
+under the problem's host size, forbidden family and terms, so objectives
+with equal terms share them.
+
 Each host is counted once, by the walk that reaches it.  Every graph below
-the host level gets the attachment table of the objective, built in one
-anchored embedder pass over the graph plus a new vertex joined to all of it:
-the copies through the new vertex, tallied by their neighbourhood there.  A
-child's value is its parent's plus the sum of the entries whose neighbourhood
-lies inside the child's new-vertex neighbour set; the value travels down the
-walk with the table, and only the graphs the walk starts from are counted
-from scratch.  A host's witness label is the canonical certificate its
-acceptance test already computed.
+the host level gets the attachment table of the objective, built by anchored
+embedder passes, one per term, over the graph plus a new vertex joined to
+all of it: the weighted copies through the new vertex, tallied by their
+neighbourhood there.  A child's value is its parent's plus the sum of the
+entries whose neighbourhood lies inside the child's new-vertex neighbour
+set; the value travels down the walk with the table, and only the graphs the
+walk starts from are counted from scratch.  A host's witness label is the
+canonical certificate its acceptance test already computed.
 
 In bounded mode the walk drops, at the last level, every child whose value
 is below the best value found so far, before the child is built; the maximum,
@@ -31,22 +37,25 @@ from dataclasses import dataclass, field, replace
 from .graphs import (Graph, VerificationError, add_vertex, canonical_cert,
                      canonical_graph, enumerate_graphs)
 from .graph6 import decode_graph6, encode_graph6
+# count_induced_family is not called here; it stays importable from this
+# module, where the benchmark's spans wrap it.
 from .counting import (_induced_family_cached, attachment_table, count_copies,
                        count_induced_family, is_family_free)
 
-DEFAULT_N_CAP = 10
 DEFAULT_WITNESS_CAP = 16
 
 
 @dataclass(frozen=True)
 class Objective:
-    """What to maximize over family-free hosts.
+    """What to maximize over family-free hosts: a weighted sum of subgraph
+    copy counts, its (weight, pattern) `terms`.
 
-    kinds: "copies" (subgraph copies of `pattern`), "edges",
-    "exstar" ((k-1)*edges + triangle count), "exbar" (total copies of all
-    induced subgraphs of `pattern`, empty member counted once).  A kind
-    takes only the fields it reads: `pattern` for copies and exbar, `k` for
-    exstar."""
+    kinds: "copies" (copies of `pattern`), "edges" (copies of K2), "exstar"
+    ((k-1)*edges + triangle count), "exbar" (total copies of all induced
+    subgraphs of `pattern`, the empty member counted once).  A kind takes
+    only the fields it reads: `pattern` for copies and exbar, `k` for
+    exstar.  `kind`, `pattern` and `k` are what a problem descriptor
+    records; the search reads only the terms."""
 
     kind: str
     pattern: Graph | None = None
@@ -80,40 +89,35 @@ class Objective:
     def exbar(pattern: Graph) -> "Objective":
         return Objective("exbar", pattern=pattern)
 
+    def terms(self) -> tuple[tuple[int, Graph], ...]:
+        """The (weight, pattern) pairs whose weighted copy counts sum to the
+        value; a pattern with no vertex stands for the constant 1.  Built on
+        first use and kept."""
+        terms = self.__dict__.get("_terms")
+        if terms is None:
+            if self.kind == "edges":
+                terms = ((1, _K2),)
+            elif self.kind == "copies":
+                terms = ((1, self.pattern),)
+            elif self.kind == "exstar":
+                terms = ((self.k - 1, _K2), (1, _K3))
+            else:
+                terms = tuple((1, h) for h in _induced_family_cached(self.pattern))
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
     def evaluate(self, g: Graph) -> int:
-        if self.kind == "edges":
-            return g.edge_count()
-        if self.kind == "copies":
-            return count_copies(g, self.pattern)
-        if self.kind == "exstar":
-            return (self.k - 1) * g.edge_count() + count_copies(g, _K3)
-        return count_induced_family(g, self.pattern)
+        return sum([w * count_copies(g, h) if h.n else w for w, h in self.terms()])
 
     def increment(self, g: Graph) -> dict[int, int]:
         """The attachment table of g: {att: c} with value(g + a~s) -
         value(g) = `gain(table, s)`, the sum of c over att inside s, where
         the new vertex a = g.n is joined to the vertex set s (a bitmask).
 
-        One anchored embedder pass over g plus a joined to all of g
-        (`counting.attachment_table`): copies of the pattern for copies,
-        edges (copies of K2) for edges, (k-1) times the edge table plus the
-        triangle table for exstar, and the sum of the member tables of the
-        pattern's induced family for exbar.  Every entry counts copies, so
-        the increment never falls when s grows."""
-        host = add_vertex(g, (1 << g.n) - 1)
-        if self.kind == "edges":
-            return attachment_table(host, _K2)
-        if self.kind == "copies":
-            return attachment_table(host, self.pattern)
-        if self.kind == "exstar":
-            parts = [(self.k - 1, _K2), (1, _K3)]
-        else:
-            parts = [(1, h) for h in _induced_family_cached(self.pattern)]
-        table: dict[int, int] = {}
-        for weight, h in parts:
-            for att, c in attachment_table(host, h).items():
-                table[att] = table.get(att, 0) + weight * c
-        return table
+        One anchored embedder pass per term over g plus a joined to all of g
+        (`counting.attachment_table`).  Every weight is positive and every
+        entry counts copies, so the increment never falls when s grows."""
+        return attachment_table(add_vertex(g, (1 << g.n) - 1), self.terms())
 
 
 def gain(table: dict[int, int], s: int) -> int:
@@ -178,17 +182,11 @@ def _family_key(forbidden: tuple[Graph, ...]) -> tuple:
 
 
 def _problem_key(problem: SearchProblem) -> tuple:
-    """The problem's host size, forbidden family, objective kind, pattern
-    and k, graphs by canonical certificate; shards (`roots`) of one problem
-    share it."""
-    obj = problem.objective
-    return (
-        problem.n,
-        _family_key(problem.forbidden),
-        obj.kind,
-        canonical_cert(obj.pattern) if obj.pattern is not None else None,
-        obj.k,
-    )
+    """The problem's host size, forbidden family and objective terms, graphs
+    by canonical certificate; shards (`roots`) of one problem share it, and
+    so do objectives with the same terms, such as copies of K2 and edges."""
+    terms = sorted((canonical_cert(h), w) for w, h in problem.objective.terms())
+    return (problem.n, _family_key(problem.forbidden), tuple(terms))
 
 
 def _problem_cache_key(problem: SearchProblem, witness_cap: int,
@@ -218,8 +216,6 @@ def brute_force_ex(problem: SearchProblem, *,
                    witness_cap: int = DEFAULT_WITNESS_CAP,
                    budget_seconds: float | None = None,
                    max_explored: int | None = None,
-                   n_cap: int = DEFAULT_N_CAP,
-                   use_cache: bool = True,
                    bounded: bool = False) -> ExtremalResult:
     """Exact maximum of the objective over all family-free n-vertex graphs.
 
@@ -250,10 +246,7 @@ def brute_force_ex(problem: SearchProblem, *,
         raise ValueError(f"max_explored must be >= 0, got {max_explored}")
     if budget_seconds is not None and not budget_seconds >= 0:
         raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
-    if problem.n > n_cap:
-        raise ValueError(f"host size {problem.n} exceeds the cap {n_cap}; "
-                         "raise n_cap explicitly if you mean it")
-    cacheable = (use_cache and budget_seconds is None and max_explored is None
+    cacheable = (budget_seconds is None and max_explored is None
                  and problem.roots is None)
     if cacheable:
         key = _problem_cache_key(problem, witness_cap, bounded)
@@ -334,16 +327,6 @@ def brute_force_ex(problem: SearchProblem, *,
         while len(_cache) > _CACHE_KEYS:
             del _cache[next(iter(_cache))]
     return result
-
-
-def exstar_brute(n: int, f: Graph, k: int, **kwargs) -> ExtremalResult:
-    """Exact maximum of (k-1)*|E(G)| + #triangles(G) over f-free hosts."""
-    return brute_force_ex(SearchProblem(n, (f,), Objective.exstar(k)), **kwargs)
-
-
-def exbar_brute(n: int, h: Graph, f: Graph, **kwargs) -> ExtremalResult:
-    """Exact maximum of the induced-family copy total of h over f-free hosts."""
-    return brute_force_ex(SearchProblem(n, (f,), Objective.exbar(h)), **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -98,20 +98,12 @@ def _graph_param(params: dict, key: str) -> Graph:
     return parse_spec(str(params[key])).build()
 
 
-def _copies_objective(pattern: Graph) -> Objective:
-    # K_2 counting is edge counting; sharing the objective shares the cache.
-    if pattern.n == 2 and pattern.edge_count() == 1:
-        return Objective.edges()
-    return Objective.copies(pattern)
-
-
 def _brute(n: int, forbidden: tuple[Graph, ...], objective: Objective,
            cfg: VerifyConfig) -> ExtremalResult:
     problem = SearchProblem(n, forbidden, objective)
     return brute_force_ex(problem, witness_cap=cfg.witness_cap,
                           budget_seconds=cfg.budget_seconds,
-                          max_explored=cfg.max_explored,
-                          n_cap=n, bounded=True)
+                          max_explored=cfg.max_explored, bounded=True)
 
 
 def _verdict(ok: bool, certified: bool) -> str:
@@ -170,7 +162,7 @@ def _run_erdos(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         if n < t:
             continue
         expected = cons.erdos_value(n, s, t)
-        res = _brute(n, (complete(t),), _copies_objective(complete(s)), cfg)
+        res = _brute(n, (complete(t),), Objective.copies(complete(s)), cfg)
         ok = res.exhaustive and res.value == expected
         yield n, EXACT, expected, res.value, _verdict(ok, res.exhaustive)
         tg6 = encode_graph6(canonical_graph(turan(n, t - 1)))
@@ -227,7 +219,7 @@ def _run_thm21(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         yield _free_row(n, is_kF_free(built, k, f), f"{k}F")
         built_count = count_copies(built, h)
         yield _floor_row(n, built_count, inner.value - 1, inner.exhaustive)
-        oracle = _brute(n, (kf,), _copies_objective(h), cfg)
+        oracle = _brute(n, (kf,), Objective.copies(h), cfg)
         yield _oracle_row(n, oracle, built_count)
         outer = _brute(n, (f,), Objective.exbar(h), cfg)
         if oracle.value is not None and outer.value:
@@ -246,12 +238,12 @@ def _run_thm22(cid: str, p: dict, ns: range, cfg: VerifyConfig):
             raise HypothesisError(f"{name} must be non-empty")
     f = disjoint_union(f1, f2)
     for n in ns:
-        oracle = _brute(n, (f,), _copies_objective(k3), cfg)
+        oracle = _brute(n, (f,), Objective.copies(k3), cfg)
         if oracle.value is None:
             continue
         best_single = None
         for fi in (f1, f2):
-            r = _brute(n, (fi,), _copies_objective(k3), cfg)
+            r = _brute(n, (fi,), Objective.copies(k3), cfg)
             if r.value is not None:
                 best_single = r.value if best_single is None else max(best_single, r.value)
         if best_single is not None:
@@ -280,14 +272,14 @@ def _run_thm24(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         if n - k + 1 < 1:
             continue
         star = _brute(n - k + 1, (f,), Objective.exstar(k), cfg)
-        oracle = _brute(n, (kf,), _copies_objective(k3), cfg)
+        oracle = _brute(n, (kf,), Objective.copies(k3), cfg)
         if star.value is None or oracle.value is None:
             continue
         yield (n, SANDWICH, f"<={oracle.value}", star.value,
                _verdict_leq(star.value, star.exhaustive,
                             oracle.value, oracle.exhaustive))
         # definitional sandwich: triangle max <= star max <= (k-1)*edge max + triangle max
-        tri = _brute(n - k + 1, (f,), _copies_objective(k3), cfg)
+        tri = _brute(n - k + 1, (f,), Objective.copies(k3), cfg)
         edg = _brute(n - k + 1, (f,), Objective.edges(), cfg)
         if tri.value is not None and edg.value is not None:
             lo_ok = _verdict_leq(tri.value, tri.exhaustive, star.value, star.exhaustive)
@@ -309,14 +301,14 @@ def _run_thm27(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     for n in ns:
         per_m = []
         for m in range(1, r + 1):
-            res = _brute(n, (f,), _copies_objective(complete(m)), cfg)
+            res = _brute(n, (f,), Objective.copies(complete(m)), cfg)
             per_m.append(res)
         values = [res.value if res.value is not None else -1 for res in per_m]
         best = max(values)
         m0 = values.index(best) + 1
         if k <= r - m0:
             continue  # the construction needs k > r - m0
-        inner = _brute(n - (r - m0), (f,), _copies_objective(complete(m0)), cfg)
+        inner = _brute(n - (r - m0), (f,), Objective.copies(complete(m0)), cfg)
         g_star = _witness_graph(inner)
         if g_star is None or inner.value is None:
             continue
@@ -324,7 +316,7 @@ def _run_thm27(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         yield _free_row(n, is_kF_free(built, k, f), f"{k}F")
         built_count = count_copies(built, complete(r))
         yield _floor_row(n, built_count, inner.value, inner.exhaustive)
-        oracle = _brute(n, (kf,), _copies_objective(complete(r)), cfg)
+        oracle = _brute(n, (kf,), Objective.copies(complete(r)), cfg)
         yield _oracle_row(n, oracle, built_count)
 
 
@@ -344,7 +336,7 @@ def _run_thm32(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         yield _free_row(n, is_kF_free(built, k, kt_pattern), f"{k}K{t}")
         built_count = count_copies(built, complete(s))
         yield _floor_row(n, built_count, cons.turan_clique_count(n - s + x, x, x))
-        oracle = _brute(n, (kf,), _copies_objective(complete(s)), cfg)
+        oracle = _brute(n, (kf,), Objective.copies(complete(s)), cfg)
         yield _oracle_row(n, oracle, built_count)
         if oracle.value is not None:
             yield _ratio_row(n, f"Theta(n^{x})",
@@ -363,7 +355,7 @@ def _run_thm34(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         built = turan(n, t - 1)
         yield _free_row(n, is_kF_free(built, k, complete(t)), f"{k}K{t}")
         lower = cons.turan_clique_count(n, t - 1, s)
-        oracle = _brute(n, (kf,), _copies_objective(complete(s)), cfg)
+        oracle = _brute(n, (kf,), Objective.copies(complete(s)), cfg)
         yield _oracle_row(n, oracle, lower)
         if oracle.value is not None:
             asym = comb(t - 1, s) * (n / (t - 1)) ** s
@@ -385,7 +377,7 @@ def _run_thm35(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         universal = (1 << (k - 1)) - 1
         meeting = count_copies_meeting(built, complete(s), universal, s - t + 1)
         yield n, EXACT, leading, meeting, _verdict(meeting == leading, True)
-        oracle = _brute(n, (kf,), _copies_objective(complete(s)), cfg)
+        oracle = _brute(n, (kf,), Objective.copies(complete(s)), cfg)
         yield _oracle_row(n, oracle, leading)
         if oracle.value is not None:
             asym = comb(k - 1, s - t + 1) * (n / (t - 1)) ** (t - 1)
@@ -408,11 +400,11 @@ def _run_cycles(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     kf = copies(k, cyc)
     exponent = 2.0 if (odd and r <= k) else 1 + 1 / l
     for n in ns:
-        oracle = _brute(n, (kf,), _copies_objective(complete(r)), cfg)
+        oracle = _brute(n, (kf,), Objective.copies(complete(r)), cfg)
         if oracle.value is None:
             continue
         if odd and r <= k and n - k + 1 >= 1:
-            inner = _brute(n - k + 1, (cyc,), _copies_objective(complete(r)), cfg)
+            inner = _brute(n - k + 1, (cyc,), Objective.copies(complete(r)), cfg)
             g_star = _witness_graph(inner)
             if g_star is not None:
                 built = cons.universal_join(k, g_star)
@@ -431,12 +423,12 @@ def _run_prop51(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     pattern = complete_bipartite(a, b)
     exponent = a + b - a * b / s
     for n in ns:
-        oracle = _brute(n, (forb,), _copies_objective(pattern), cfg)
+        oracle = _brute(n, (forb,), Objective.copies(pattern), cfg)
         if oracle.value is None:
             continue
         if k > 1:
             single = _brute(n, (complete_bipartite(s, t),),
-                            _copies_objective(pattern), cfg)
+                            Objective.copies(pattern), cfg)
             if single.value is not None:
                 yield _oracle_row(n, oracle, single.value)
         yield _ratio_row(n, f"O(n^{exponent:.3f})",
@@ -463,7 +455,7 @@ def _run_prop53(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         yield _free_row(n, is_kF_free(built, k, kst), f"{k}K{s},{t}")
         built_count = count_copies(built, pattern)
         yield _floor_row(n, built_count, comb(k - 1, a) * comb(n - k + 1, b))
-        oracle = _brute(n, (forb,), _copies_objective(pattern), cfg)
+        oracle = _brute(n, (forb,), Objective.copies(pattern), cfg)
         yield _oracle_row(n, oracle, built_count)
         if oracle.value is not None:
             yield _ratio_row(n, f"Theta(n^{b})", [("oracle", oracle.value / n ** b)])
@@ -478,7 +470,7 @@ def _run_prop54(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         if not (s <= a <= b <= t):
             raise HypothesisError(f"variant a needs s <= a <= b <= t, got {p}")
         for n in ns:
-            oracle = _brute(n, (kst,), _copies_objective(pattern), cfg)
+            oracle = _brute(n, (kst,), Objective.copies(pattern), cfg)
             if oracle.value is not None:
                 yield _ratio_row(n, f"O(n^{s})", [("oracle", oracle.value / n ** s)])
         return
@@ -492,7 +484,7 @@ def _run_prop54(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         floor_count = comb(s - 1, a) * comb(n - s + 1, b) if s - 1 >= a else 0
         built_count = count_copies(built, pattern)
         yield _floor_row(n, built_count, floor_count)
-        oracle = _brute(n, (kst,), _copies_objective(pattern), cfg)
+        oracle = _brute(n, (kst,), Objective.copies(pattern), cfg)
         yield _oracle_row(n, oracle, built_count)
         if oracle.value is not None:
             yield _ratio_row(n, f"Theta(n^{b})", [("oracle", oracle.value / n ** b)])
@@ -508,7 +500,7 @@ def _run_prop61(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         if n < 2 * l:
             continue
         expected = cons.prop61_value(n, l)
-        oracle = _brute(n, (k3,), _copies_objective(pattern), cfg)
+        oracle = _brute(n, (k3,), Objective.copies(pattern), cfg)
         ok = oracle.exhaustive and oracle.value == expected
         yield n, EXACT, expected, oracle.value, _verdict(ok, oracle.exhaustive)
 
@@ -533,7 +525,7 @@ def _run_thm62(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         leading = comb(k - 1, l) * count_copies(bip, match_pattern)
         built_count = count_copies(built, pattern)
         yield _floor_row(n, built_count, leading)
-        oracle = _brute(n, (kf,), _copies_objective(pattern), cfg)
+        oracle = _brute(n, (kf,), Objective.copies(pattern), cfg)
         yield _oracle_row(n, oracle, built_count)
         if oracle.value is not None:
             yield _ratio_row(n, f"to-asymptote((n^2/4)^{l})",

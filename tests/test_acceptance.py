@@ -24,8 +24,9 @@ from genturan.graphs import (canonical_graph, complete, complete_bipartite,
                              copies, cycle, enumerate_graphs, turan)
 from genturan.packing import (canonical_partition, is_kF_free,
                               max_packing_size)
-from genturan.search import (Objective, SearchProblem, brute_force_ex,
-                             exstar_brute, merge, shard)
+from genturan import search
+from genturan.search import (Objective, SearchProblem, brute_force_ex, merge,
+                             shard)
 from genturan.verify import run_check
 
 from conftest import (naive_count_copies, naive_max_packing, package_env,
@@ -79,7 +80,8 @@ def test_criterion_3_star_sandwich():
         if remaining <= 0:
             statuses.append((n, "inconclusive"))
             continue
-        lhs = exstar_brute(n - 1, c5, 2, budget_seconds=remaining)
+        lhs = brute_force_ex(SearchProblem(n - 1, (c5,), Objective.exstar(2)),
+                             budget_seconds=remaining)
         remaining = deadline - time.monotonic()
         rhs = brute_force_ex(SearchProblem(n, forb, Objective.copies(K3)),
                              budget_seconds=max(remaining, 0.01))
@@ -234,7 +236,8 @@ def test_criterion_9_determinism(tmp_path):
     assert hashlib.sha256(csvs[0]).hexdigest() == VERIFY_ALL_SHA256
 
     problem = SearchProblem(7, (copies(2, K3),), Objective.copies(K3))
-    full = brute_force_ex(problem, use_cache=False)
+    search.clear_cache()
+    full = brute_force_ex(problem)
     pieces = shard(problem, 4)
     assert len(pieces) == 4
     merged = merge([brute_force_ex(p) for p in pieces])

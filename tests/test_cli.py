@@ -137,6 +137,23 @@ def test_enumerate_host_size_usage_error(capsys, argv, message):
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--n", "11"), "exceeds the cap 10"),
+    (("--n", "65"), "exceeds the cap 10"),
+    (("--n", "65", "--force"), "outside 0..64"),
+    (("--n", "-1"), "negative host size"),
+])
+def test_search_host_size_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "search", "edges", "--forbid", "K3", *argv)
+    assert code == 2 and out == "" and message in err
+
+
+def test_search_force_lifts_the_cap(capsys):
+    code, out, _ = run_cli(capsys, "search", "edges", "--n", "11", "--forbid", "K3",
+                           "--force", "--max-explored", "3")
+    assert code == 0 and out.startswith("n=11 ") and "exhaustive=false" in out
+
+
 def test_verify_check_pass_exit_zero(capsys, tmp_path):
     csv_path = tmp_path / "report.csv"
     code, out, _ = run_cli(capsys, "verify", "prop6.1", "--n-range", "4..6",

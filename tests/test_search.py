@@ -14,7 +14,7 @@ import pytest
 
 from genturan import graphs as graph_module, search
 from genturan.constructions import erdos_value, prop61_value
-from genturan.counting import count_copies, is_family_free
+from genturan.counting import count_copies, count_induced_family, is_family_free
 from genturan.graph6 import decode_graph6, encode_graph6
 from genturan.graphs import (Graph, add_vertex, automorphism_count, canonical_cert,
                              canonical_form, canonical_graph, complete,
@@ -22,9 +22,8 @@ from genturan.graphs import (Graph, add_vertex, automorphism_count, canonical_ce
                              enumerate_graphs, is_connected, relabel, turan)
 from genturan.packing import FreenessPrune
 from genturan.search import (ExtremalResult, Objective, SearchProblem,
-                             brute_force_ex, exbar_brute, exstar_brute, merge,
-                             parse_problem, result_line, serialize_problem,
-                             shard)
+                             brute_force_ex, merge, parse_problem, result_line,
+                             serialize_problem, shard)
 
 from conftest import (all_labeled_graphs, every_subset_walk,
                       naive_isomorphism_classes, package_env, random_graph,
@@ -187,7 +186,8 @@ def test_orbit_pruned_walk_matches_oracle_from_shard_roots():
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_shards_merge_to_unsharded_at_small_n(n):
     problem = SearchProblem(n, (), Objective.edges())
-    full = brute_force_ex(problem, use_cache=False)
+    search.clear_cache()
+    full = brute_force_ex(problem)
     pieces = shard(problem, 3)
     assert merge([brute_force_ex(p) for p in pieces]) == full
     assert full.explored == (2 if n == 2 else 1)
@@ -247,8 +247,9 @@ def test_witnesses_are_free_and_attain_value():
 
 def test_witness_cap_and_exact_class_count():
     # With an edgeless objective every triangle-free class is extremal.
+    search.clear_cache()
     r = brute_force_ex(SearchProblem(5, (K3,), Objective.copies(complete(1))),
-                       witness_cap=4, use_cache=False)
+                       witness_cap=4)
     assert r.value == 5
     assert len(r.witnesses) == 4
     assert r.num_extremal == 14  # all triangle-free 5-vertex classes
@@ -259,7 +260,7 @@ def test_witness_cap_and_exact_class_count():
 def test_witness_cap_below_one_rejected(cap):
     problem = SearchProblem(5, (K3,), Objective.edges())
     with pytest.raises(ValueError, match="witness_cap must be >= 1"):
-        brute_force_ex(problem, witness_cap=cap, use_cache=False)
+        brute_force_ex(problem, witness_cap=cap)
     with pytest.raises(ValueError, match="witness_cap must be >= 1"):
         merge([brute_force_ex(problem)], witness_cap=cap)
 
@@ -269,27 +270,26 @@ def test_witness_cap_below_one_rejected(cap):
 def test_negative_budget_rejected(budget):
     problem = SearchProblem(5, (K3,), Objective.edges())
     with pytest.raises(ValueError, match="must be >= 0"):
-        brute_force_ex(problem, use_cache=False, **budget)
+        brute_force_ex(problem, **budget)
 
 
 def test_budget_marks_non_exhaustive():
-    r = brute_force_ex(SearchProblem(6, (), Objective.edges()),
-                       max_explored=10, use_cache=False)
+    r = brute_force_ex(SearchProblem(6, (), Objective.edges()), max_explored=10)
     assert not r.exhaustive
     assert r.explored == 10
     assert r.value is not None
 
 
 def test_infeasible_problem_returns_none():
-    r = brute_force_ex(SearchProblem(3, (complete(1),), Objective.edges()),
-                       use_cache=False)
+    search.clear_cache()
+    r = brute_force_ex(SearchProblem(3, (complete(1),), Objective.edges()))
     assert r.value is None and r.witnesses == () and r.num_extremal == 0
 
 
 def test_exstar_and_exbar_examples():
     # Triangle-free hosts: the weighted objective degenerates to edge count.
     for n in range(4, 8):
-        r = exstar_brute(n, K3, 2)
+        r = brute_force_ex(SearchProblem(n, (K3,), Objective.exstar(2)))
         assert r.value == n * n // 4
     # Sandwich: triangle max <= star max <= (k-1)*edge max + triangle max.
     for n in range(4, 8):
@@ -297,17 +297,17 @@ def test_exstar_and_exbar_examples():
         f = cycle(4)
         tri = brute_force_ex(SearchProblem(n, (f,), Objective.copies(K3)))
         edg = brute_force_ex(SearchProblem(n, (f,), Objective.edges()))
-        star = exstar_brute(n, f, k)
+        star = brute_force_ex(SearchProblem(n, (f,), Objective.exstar(k)))
         assert tri.value <= star.value <= (k - 1) * edg.value + tri.value
     # Induced-family lower bound: any alpha(H)-subset realizes the
     # independent-set member, so the maximum is at least C(n, alpha(H)).
-    from math import comb
-    r = exbar_brute(6, K3, cycle(4))
+    r = brute_force_ex(SearchProblem(6, (cycle(4),), Objective.exbar(K3)))
     assert r.value >= comb(6, 1)
-    r = exbar_brute(6, complete_bipartite(1, 2), K3)   # alpha = 2
+    p3 = complete_bipartite(1, 2)   # alpha = 2
+    r = brute_force_ex(SearchProblem(6, (K3,), Objective.exbar(p3)))
     assert r.value >= comb(6, 2)
     # One-vertex pattern: the empty member plus each vertex.
-    r = exbar_brute(5, complete(1), K3)
+    r = brute_force_ex(SearchProblem(5, (K3,), Objective.exbar(complete(1))))
     assert r.value == 6
 
 
@@ -316,14 +316,15 @@ def test_thm21_lower_direction_small():
     # member as a full pattern copy, up to the lone empty member.
     k, h, f = 2, complete(2), K3
     for n in range(5, 8):
-        inner = exbar_brute(n - k + 1, h, f)
+        inner = brute_force_ex(SearchProblem(n - k + 1, (f,), Objective.exbar(h)))
         oracle = brute_force_ex(SearchProblem(n, (copies(k, f),), Objective.edges()))
         assert oracle.value >= inner.value - 1
 
 
 def test_shard_merge_identity_and_permutation_invariance():
     problem = SearchProblem(6, (K3,), Objective.copies(copies(2, complete(2))))
-    full = brute_force_ex(problem, use_cache=False)
+    search.clear_cache()
+    full = brute_force_ex(problem)
     pieces = shard(problem, 4)
     assert len(pieces) == 4
     results = [brute_force_ex(p) for p in pieces]
@@ -343,7 +344,8 @@ def test_shard_merge_identity_and_permutation_invariance():
 
 def test_shard_counts_partition_explored():
     problem = SearchProblem(6, (), Objective.edges())
-    full = brute_force_ex(problem, use_cache=False)
+    search.clear_cache()
+    full = brute_force_ex(problem)
     results = [brute_force_ex(p) for p in shard(problem, 3)]
     assert sum(r.explored for r in results) == full.explored == 156
 
@@ -412,11 +414,6 @@ def test_cache_keeps_bounded_and_full_results_apart(monkeypatch):
     assert brute_force_ex(problem) is full
 
 
-def test_search_cap_guard():
-    with pytest.raises(ValueError):
-        brute_force_ex(SearchProblem(11, (K3,), Objective.edges()))
-
-
 def test_objective_validation():
     with pytest.raises(ValueError):
         Objective("nonsense")
@@ -435,7 +432,7 @@ def test_witness_recheck_raises_under_optimize():
         "search.is_family_free = lambda g, family: False",
         "problem = search.SearchProblem(4, (complete(3),), search.Objective.edges())",
         "try:",
-        "    search.brute_force_ex(problem, use_cache=False)",
+        "    search.brute_force_ex(problem)",
         "except VerificationError as err:",
         "    print('optimize', sys.flags.optimize, err)",
     ])
@@ -461,6 +458,39 @@ INCREMENT_OBJECTIVES = [
     Objective.exstar(2), Objective.exstar(3), Objective.exbar(_P3),
     Objective.exbar(cycle(4)),
 ]
+
+
+def test_objective_terms_match_the_closed_forms():
+    # Each kind's weighted sum of copy counts against the formula it stands
+    # for, on every class with at most six vertices.
+    closed = [
+        (Objective.edges(), lambda g: g.edge_count()),
+        (Objective.copies(complete(2)), lambda g: g.edge_count()),
+        (Objective.copies(_P3), lambda g: count_copies(g, _P3)),
+        (Objective.exstar(2), lambda g: g.edge_count() + count_copies(g, K3)),
+        (Objective.exstar(4), lambda g: 3 * g.edge_count() + count_copies(g, K3)),
+        (Objective.exbar(_P3), lambda g: count_induced_family(g, _P3)),
+        (Objective.exbar(cycle(4)), lambda g: count_induced_family(g, cycle(4))),
+        (Objective.exbar(complete(1)), lambda g: 1 + g.n),
+    ]
+    for m in range(7):
+        for g in enumerate_graphs(m):
+            for objective, formula in closed:
+                assert objective.evaluate(g) == formula(g), (objective, g.adj)
+
+
+def test_copies_of_k2_and_edges_share_a_cache_entry(monkeypatch):
+    monkeypatch.setattr(search, "_cache", {})
+    edges = brute_force_ex(SearchProblem(6, (K3,), Objective.edges()))
+    k2 = SearchProblem(6, (K3,), Objective.copies(complete(2)))
+    assert brute_force_ex(k2) is edges and len(search._cache) == 1
+    assert search._problem_key(k2) == edges.problem_key
+    triangles = SearchProblem(6, (K3,), Objective.copies(K3))
+    assert search._problem_key(triangles) != edges.problem_key
+    # Equal patterns with other weights are another problem.
+    stars = [search._problem_key(SearchProblem(6, (K3,), Objective.exstar(k)))
+             for k in (2, 3)]
+    assert stars[0] != stars[1]
 
 
 def _objective_id(objective):
@@ -498,8 +528,9 @@ def _bounded_oracle_problems():
 
 def test_bounded_search_matches_full_search():
     for problem in _bounded_oracle_problems():
-        full = brute_force_ex(problem, use_cache=False)
-        bounded = brute_force_ex(problem, use_cache=False, bounded=True)
+        search.clear_cache()
+        full = brute_force_ex(problem)
+        bounded = brute_force_ex(problem, bounded=True)
         assert (bounded.value, bounded.num_extremal, bounded.witnesses,
                 bounded.exhaustive) == (full.value, full.num_extremal,
                                         full.witnesses, full.exhaustive), \
@@ -534,7 +565,8 @@ def test_carried_values_match_fresh_counts():
             for problem in problems:
                 for bounded in (False, True):
                     current.update(problem=problem, bounded=bounded, hosts=0)
-                    brute_force_ex(problem, use_cache=False, bounded=bounded)
+                    search.clear_cache()
+                    brute_force_ex(problem, bounded=bounded)
                     assert current["hosts"], serialize_problem(problem)
 
     check([SearchProblem(n, (K3,), Objective.copies(h))
@@ -551,7 +583,8 @@ def test_merge_refuses_results_of_different_problems():
     # One shard of each: relabelled graphs make the same problem.
     parts = [shard(problem, 2)[0], shard(relabelled, 2)[1]]
     merged = merge([brute_force_ex(p) for p in parts])
-    full = brute_force_ex(problem, use_cache=False)
+    search.clear_cache()
+    full = brute_force_ex(problem)
     assert (merged.value, merged.num_extremal, merged.witnesses) == \
         (full.value, full.num_extremal, full.witnesses)
     assert merged.problem_key == full.problem_key
@@ -576,7 +609,7 @@ def test_deadline_stops_the_walk_between_parents(monkeypatch, bounded):
 
     monkeypatch.setattr(graph_module, "_children", counted)
     problem = SearchProblem(9, (copies(2, K3),), Objective.edges())
-    r = brute_force_ex(problem, budget_seconds=0, use_cache=False, bounded=bounded)
+    r = brute_force_ex(problem, budget_seconds=0, bounded=bounded)
     assert not r.exhaustive
     assert len(calls) <= problem.n
 
