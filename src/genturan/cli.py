@@ -268,7 +268,7 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _keep_every_child(g: Graph, token) -> tuple[None, None]:
+def _keep_every_child(g: Graph, token, blocked) -> tuple[None, None]:
     return None, None
 
 

@@ -586,10 +586,13 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     acceptance test found.
 
     `_node_hook`, when given, is called with every graph below level n,
-    before its children are looked for, and with the token its parent's
-    call returned (None for a start graph); it returns a pair (keep, token).
-    `keep` is None to keep every child, False to skip the graph (no blocked
-    sets found, no subset tried), or a predicate on the new vertex's
+    before its children are looked for, with the token its parent's call
+    returned (None for a start graph) and with a function of no arguments
+    that returns the graph's blocked sets.  Those are found on the first
+    call and shared with `_children`, so each graph's are found at most
+    once, and never for a graph the hook skips without asking.  The hook
+    returns a pair (keep, token).  `keep` is None to keep every child, False
+    to skip the graph (no subset tried), or a predicate on the new vertex's
     neighbour mask that a child must pass (see `_children`).  The predicate
     must hold for all of an Aut(parent) orbit of masks or for none of it,
     and may only grow stricter while the parent's children are walked.  An
@@ -597,8 +600,8 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     triples (graph, token, cert): the token the graph's parent's call
     returned and the graph's canonical certificate, which its acceptance
     test computed (both None for a start graph at level n).  Extremal
-    searches use it to carry values down the walk, for their incumbent bound
-    and for their deadline.
+    searches use it to carry values down the walk, for their incumbent
+    bounds and for their deadline.
 
     Arguments are checked when this is called, before the first `next`.
     """
@@ -630,18 +633,25 @@ def _walk(start: list[Graph], n: int, prune, hook) -> Iterator[tuple]:
 def _descend(g: Graph, gens: list[tuple[int, ...]], n: int, prune, hook,
              token) -> Iterator[tuple]:
     keep = None
+    found: list[list[int]] = []
     if hook is not None:
-        keep, token = hook(g, token)
+        def blocked() -> list[int]:
+            if not found:
+                found.append(prune.blocked(g))
+            return found[0]
+
+        keep, token = hook(g, token, blocked)
         if keep is False:
             return
-    for child, child_gens, cert in _children(g, gens, prune, keep):
+    blocked_sets = found[0] if found else prune.blocked(g)
+    for child, child_gens, cert in _children(g, gens, blocked_sets, keep):
         if child.n == n:
             yield child, token, cert
         else:
             yield from _descend(child, child_gens, n, prune, hook, token)
 
 
-def _children(g: Graph, gens: list[tuple[int, ...]], prune,
+def _children(g: Graph, gens: list[tuple[int, ...]], blocked: list[int],
               keep=None) -> Iterator[tuple[Graph, list, tuple[int, ...]]]:
     """Accepted family-free one-vertex extensions of g, one per child
     isomorphism class, each with generators of its automorphism group and
@@ -657,9 +667,9 @@ def _children(g: Graph, gens: list[tuple[int, ...]], prune,
     - the degree filter;
     - the predicate `keep`, when given (a node hook's bound; see
       `enumerate_graphs`);
-    - the blocked-set test of `prune`: a subset holding one of g's blocked
-      sets, found once here for all of g's children, makes a child with a
-      forbidden copy;
+    - the blocked-set test: a subset holding one of g's `blocked` sets
+      (`packing.FreenessPrune.blocked`, found once per parent for all of its
+      children) makes a child with a forbidden copy;
     - the orbit test.
     Only then is the child built and given the canonical-deletion test.  The
     predicate and the blocked-set test are invariant under Aut(g) too, so a
@@ -673,7 +683,6 @@ def _children(g: Graph, gens: list[tuple[int, ...]], prune,
     degs = [row.bit_count() for row in adj]
     top = max(degs, default=0)
     top_mask = sum(1 << v for v, d in enumerate(degs) if d == top)
-    blocked = prune.blocked(g)
     # Each generator as the image bit of every vertex; `done` holds every
     # subset in the orbit of a subset already tried.
     images = [[1 << w for w in gen] for gen in gens]

@@ -23,10 +23,15 @@ set; the value travels down the walk with the table, and only the graphs the
 walk starts from are counted from scratch.  A host's witness label is the
 canonical certificate its acceptance test already computed.
 
-In bounded mode the walk drops, at the last level, every child whose value
-is below the best value found so far, before the child is built; the maximum,
+In bounded mode the walk drops what cannot reach the incumbent, the best
+value known so far: at the last level, every child whose value is below it,
+before the child is built.  An uncapped bounded search also seeds the
+incumbent, before the walk, from the (n-1) problem's witnesses, each joined
+to a new vertex; and, when every term counts cliques, drops every graph
+whose clique-term bound, taken from its allowed neighbour sets and from
+smaller searches' ex(p, K_j, F), is below it, at every level.  The maximum,
 the extremal count and the witnesses are those of the full walk, but only
-the hosts that can still reach the running maximum are evaluated.
+the hosts that can still reach the incumbent are evaluated.
 """
 
 from __future__ import annotations
@@ -35,12 +40,13 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .graphs import (Graph, VerificationError, add_vertex, canonical_cert,
-                     canonical_graph, enumerate_graphs)
+                     canonical_graph, complete, enumerate_graphs)
 from .graph6 import decode_graph6, encode_graph6
 # count_induced_family is not called here; it stays importable from this
 # module, where the benchmark's spans wrap it.
 from .counting import (_induced_family_cached, attachment_table, count_copies,
                        count_induced_family, is_family_free)
+from .packing import FreenessPrune
 
 DEFAULT_WITNESS_CAP = 16
 
@@ -170,9 +176,10 @@ class ExtremalResult:
     problem_key: tuple = field(compare=False, repr=False)
 
 
-# The result cache holds at most this many keys and drops the oldest first;
-# the default-range `verify all` creates 87 keys, `--n-range 5..8` 92.
-_CACHE_KEYS = 128
+# The result cache holds at most this many keys and drops the oldest first.
+# A serial `verify all` creates 213 keys over the default ranges and 210 with
+# `--n-range 5..8`, the helper searches of its bounded searches included.
+_CACHE_KEYS = 512
 
 _cache: dict[tuple, ExtremalResult] = {}
 
@@ -212,6 +219,139 @@ def _value(objective: Objective, g: Graph, token) -> int:
     return value + gain(table, g.adj[-1])
 
 
+def _allowed_sets(m: int, blocked: list[int]) -> list[int]:
+    """Vertex sets of an m-vertex graph that hold none of its `blocked`
+    sets, among them every inclusion-maximal one: the neighbour set of a new
+    vertex keeps the graph family-free exactly when it lies inside one.
+    Empty when even the empty set is blocked.
+
+    Starts from all m vertices and branches on the first blocked set the
+    current set holds: the i-th branch drops that blocked set's i-th vertex
+    and keeps the ones before it for good, so no set is produced twice."""
+    out: list[int] = []
+
+    def grow(s: int, kept: int) -> None:
+        for b in blocked:
+            if s & b == b:
+                break
+        else:
+            out.append(s)
+            return
+        free = b & ~kept
+        while free:
+            low = free & -free
+            free ^= low
+            grow(s ^ low, kept)
+            kept |= low
+
+    grow((1 << m) - 1, 0)
+    return out
+
+
+def _clique_count(adj: tuple[int, ...], s: int, q: int) -> int:
+    """The number of copies of K_q inside the vertex set s (K_0 once)."""
+    if q <= 1:
+        return s.bit_count() if q else 1
+    total = 0
+    while s:
+        low = s & -s
+        s ^= low
+        total += _clique_count(adj, adj[low.bit_length() - 1] & s, q - 1)
+    return total
+
+
+def _clique_orders(objective: Objective) -> list[tuple[int, int]] | None:
+    """(weight, r) for each term counting copies of a clique K_r, r >= 1;
+    None when some term's pattern is not complete.  Constant terms (no
+    vertex) are left out: every host of a problem has them alike."""
+    out = []
+    for w, h in objective.terms():
+        if h.edge_count() != h.n * (h.n - 1) // 2:
+            return None
+        if h.n:
+            out.append((w, h.n))
+    return out
+
+
+def _clique_coefficients(problem: SearchProblem,
+                         witness_cap: int) -> dict[int, list[int]] | None:
+    """The clique-term bound of every level m = 1..n-1, as coefficients:
+    every family-free n-vertex host holding g (m vertices) as its first m
+    vertices has value at most
+
+        value(g) + sum over q of coef[m][q] * max over allowed s of K_q(g[s]),
+
+    with coef[m][q] the sum over the terms (w, K_r), r > q, of
+    w * ex(n-m, K_(r-q), F).  A copy of K_r meeting the n-m new vertices W in
+    j of them is a j-clique of W (W induces a family-free graph, so there
+    are at most ex(n-m, K_j, F) of those) plus a K_(r-j) inside those
+    vertices' common neighbourhood in g, which lies inside one of their
+    allowed neighbour sets.  ex(p, K_1, F) = p and ex(p, K_j, F) = 0 for
+    j > p; the others come from smaller bounded searches, through the
+    result cache.  None when the objective has a term that is not a clique
+    count."""
+    orders = _clique_orders(problem.objective)
+    if orders is None:
+        return None
+    top = max([r for _, r in orders], default=0)
+    ex: dict[tuple[int, int], int] = {}
+    for p in range(1, problem.n):
+        for j in range(1, top + 1):
+            if j == 1 or j > p:
+                ex[p, j] = p if j == 1 else 0
+            else:
+                sub = SearchProblem(p, problem.forbidden, Objective.copies(complete(j)))
+                ex[p, j] = brute_force_ex(sub, witness_cap=witness_cap,
+                                          bounded=True).value or 0
+    return {m: [sum(w * ex[problem.n - m, r - q] for w, r in orders if r > q)
+                for q in range(top)]
+            for m in range(1, problem.n)}
+
+
+def _clique_gain(coef: list[int], adj: tuple[int, ...],
+                 sets: list[int]) -> int | None:
+    """The most the clique-term bound lets the descendants add to a graph's
+    value, its new vertices' neighbour sets lying inside `sets`; None when
+    `sets` is empty, so that no descendant exists."""
+    if not sets:
+        return None
+    return sum([c * max([_clique_count(adj, s, q) for s in sets])
+                for q, c in enumerate(coef) if c])
+
+
+def _seed(problem: SearchProblem, witness_cap: int) -> int | None:
+    """A lower bound on the maximum, from the (n-1)-vertex problem's
+    extremal witnesses: each witness w plus a new vertex joined to the
+    allowed set s with the largest gain is a family-free n-vertex host of
+    value value(w) + gain(increment(w), s).  Each such host is built and
+    re-checked (freeness and a from-scratch value), a mismatch raising
+    `VerificationError`.  None when n = 0 or no witness has an allowed set."""
+    if problem.n == 0:
+        return None
+    prev = brute_force_ex(replace(problem, n=problem.n - 1),
+                          witness_cap=witness_cap, bounded=True)
+    objective = problem.objective
+    prune = FreenessPrune(problem.forbidden, problem.n)
+    seed = None
+    for w in prev.witnesses:
+        g = decode_graph6(w)
+        sets = _allowed_sets(g.n, prune.blocked(g))
+        if not sets:
+            continue
+        table = objective.increment(g)
+        s = max(sets, key=lambda s: gain(table, s))
+        value = prev.value + gain(table, s)
+        host = add_vertex(g, s)
+        if (not is_family_free(host, problem.forbidden)
+                or objective.evaluate(host) != value):
+            raise VerificationError(
+                f"seed host {encode_graph6(host)} is not a family-free host "
+                f"of value {value}")
+        if seed is None or value > seed:
+            seed = value
+    return seed
+
+
 def brute_force_ex(problem: SearchProblem, *,
                    witness_cap: int = DEFAULT_WITNESS_CAP,
                    budget_seconds: float | None = None,
@@ -230,16 +370,28 @@ def brute_force_ex(problem: SearchProblem, *,
     between hosts and once per graph below level n, so a walk that yields
     nothing for a while still stops.
 
-    With `bounded`, a child at the last level whose value is below the best
-    value found so far is dropped before it is built or canonically tested,
-    and a parent none of whose children can reach that value is skipped:
-    every table entry counts copies, so no child beats the one whose new
-    vertex is joined to the whole parent.  The running best never
-    exceeds the final maximum, so every extremal class is still produced
-    exactly once: `value`, `num_extremal`, `witnesses` and `exhaustive` are
-    those of the full search, while `explored` counts only the hosts
-    evaluated.  Full searches keep `explored` equal to the class count,
-    which shard merges and the `search` result line report."""
+    With `bounded`, the walk drops what cannot reach the incumbent, the best
+    value known so far:
+    - at the last level, a child whose value is below it, before the child
+      is built or canonically tested, and a parent none of whose children
+      can reach it (every table entry counts copies, so no child beats the
+      one whose new vertex is joined to the whole parent);
+    - when the search is uncapped (no budget, no `max_explored`, no
+      `roots`), the incumbent starts at `_seed`, from the (n-1) problem's
+      witnesses, before the first host;
+    - when it is uncapped and every term counts cliques, also every graph at
+      a level 1..n-1 whose clique-term bound (`_clique_coefficients`) is
+      below it, before the graph's attachment table is built.  The bound is
+      first taken over all of the graph, then over its allowed sets, so a
+      graph dropped by the first never has its blocked sets found.
+    The seed and the ex(p, K_j, F) the bound needs come from smaller bounded
+    searches, run before the walk; a capped search starts none.  The
+    incumbent never exceeds the final maximum, so every extremal class is
+    still produced exactly once: `value`, `num_extremal`, `witnesses` and
+    `exhaustive` are those of the full search and come from evaluated
+    hosts, while `explored` counts only the hosts evaluated.  Full searches
+    keep `explored` equal to the class count, which shard merges and the
+    `search` result line report."""
     if witness_cap < 1:
         raise ValueError(f"witness_cap must be >= 1, got {witness_cap}")
     if max_explored is not None and max_explored < 0:
@@ -257,13 +409,27 @@ def brute_force_ex(problem: SearchProblem, *,
     forbidden = problem.forbidden
     objective = problem.objective
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
+    # `best` is the incumbent the bounds compare with; `top` the best value
+    # of an evaluated host.
     best: int | None = None
+    coefs = None
+    if bounded and cacheable:
+        best = _seed(problem, witness_cap)
+        coefs = _clique_coefficients(problem, witness_cap)
+    seed = best
     last = problem.n - 1
 
-    def node_hook(g: Graph, token):
+    def node_hook(g: Graph, token, blocked):
         if deadline is not None and time.monotonic() > deadline:
             raise _OutOfTime
         value = _value(objective, g, token)
+        if coefs is not None and best is not None and g.n:
+            coef = coefs[g.n]
+            more = _clique_gain(coef, g.adj, [(1 << g.n) - 1])
+            if value + more >= best:
+                more = _clique_gain(coef, g.adj, _allowed_sets(g.n, blocked()))
+            if more is None or value + more < best:
+                return False, None
         table = objective.increment(g)
         token = (value, table)
         if not bounded or best is None or g.n != last:
@@ -280,6 +446,7 @@ def brute_force_ex(problem: SearchProblem, *,
     stream = enumerate_graphs(problem.n, forbidden, _roots=roots,
                               _node_hook=node_hook)
     witnesses: list[str] = []
+    top: int | None = None
     num_extremal = 0
     explored = 0
     exhaustive = True
@@ -297,8 +464,8 @@ def brute_force_ex(problem: SearchProblem, *,
                 continue
             # The acceptance test labelled every graph below the start graphs.
             label = canonical_graph(g) if cert is None else Graph._make(g.n, cert)
-            if best is None or value > best:
-                best = value
+            if top is None or value > top:
+                top = best = value
                 witnesses = [encode_graph6(label)]
                 num_extremal = 1
             else:
@@ -310,6 +477,8 @@ def brute_force_ex(problem: SearchProblem, *,
                     del witnesses[witness_cap:]
     except _OutOfTime:
         exhaustive = False
+    if seed is not None and top is None:
+        raise VerificationError(f"no host reaches the seed {seed}")
     # Post-search re-verification, independent of the enumerator's
     # incremental prune: every witness must decode to a family-free graph
     # attaining the reported value.
@@ -317,9 +486,9 @@ def brute_force_ex(problem: SearchProblem, *,
         wg = decode_graph6(w)
         if not is_family_free(wg, forbidden):
             raise VerificationError(f"witness {w} violates freeness")
-        if objective.evaluate(wg) != best:
-            raise VerificationError(f"witness {w} misses the maximum {best}")
-    result = ExtremalResult(problem.n, best, tuple(sorted(witnesses)),
+        if objective.evaluate(wg) != top:
+            raise VerificationError(f"witness {w} misses the maximum {top}")
+    result = ExtremalResult(problem.n, top, tuple(sorted(witnesses)),
                             num_extremal, explored, exhaustive,
                             _problem_key(problem))
     if cacheable and exhaustive:

@@ -19,7 +19,8 @@ from genturan.graph6 import decode_graph6, encode_graph6
 from genturan.graphs import (Graph, add_vertex, automorphism_count, canonical_cert,
                              canonical_form, canonical_graph, complete,
                              complete_bipartite, copies, cycle, disjoint_union,
-                             enumerate_graphs, is_connected, relabel, turan)
+                             enumerate_graphs, is_connected, join, relabel,
+                             turan)
 from genturan.packing import FreenessPrune
 from genturan.search import (ExtremalResult, Objective, SearchProblem,
                              brute_force_ex, merge, parse_problem, result_line,
@@ -442,6 +443,28 @@ def test_witness_recheck_raises_under_optimize():
     assert proc.stdout.startswith("optimize 1 witness")
 
 
+def test_seed_recheck_raises_under_optimize():
+    # The seed host is re-checked with a raised VerificationError, so
+    # `python -O` keeps it; the (n-1) result it starts from is cached first.
+    code = "\n".join([
+        "import sys",
+        "from genturan import search",
+        "from genturan.graphs import VerificationError, complete",
+        "def problem(n):",
+        "    return search.SearchProblem(n, (complete(3),), search.Objective.edges())",
+        "search.brute_force_ex(problem(3), bounded=True)",
+        "search.is_family_free = lambda g, family: False",
+        "try:",
+        "    search.brute_force_ex(problem(4), bounded=True)",
+        "except VerificationError as err:",
+        "    print('optimize', sys.flags.optimize, err)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("optimize 1 seed host")
+
+
 # ---------------------------------------------------------------------------
 # Incumbent-bounded search
 # ---------------------------------------------------------------------------
@@ -536,38 +559,167 @@ def test_bounded_search_matches_full_search():
                                         full.witnesses, full.exhaustive), \
             serialize_problem(problem)
         assert bounded.explored <= full.explored
-    # On 2K3-free n = 9 the bound leaves 80 of the 36,121 classes to evaluate.
-    assert (bounded.explored, full.explored) == (80, 36121)
+    # On 2K3-free n = 9 the seed is the maximum and the bounds leave 1 of
+    # the 36,121 classes to evaluate.
+    assert (bounded.explored, full.explored) == (1, 36121)
+
+
+def _clique_term_problems(max_n):
+    """The registry's problems at n <= max_n whose every term counts
+    cliques, one per problem key."""
+    out = {}
+    for p in registry_problems():
+        if p.n <= max_n and search._clique_orders(p.objective) is not None:
+            out.setdefault(search._problem_key(p), p)
+    return list(out.values())
+
+
+def _clique_term_value(objective, g):
+    """The value of an objective whose every term counts cliques K_r, each
+    clique counted once, from its least vertex up."""
+    def cliques(r, within):
+        if r == 0:
+            return 1
+        return sum(cliques(r - 1, within & g.adj[v] & -(2 << v))
+                   for v in range(g.n) if within >> v & 1)
+    return sum(w * cliques(h.n, (1 << g.n) - 1) for w, h in objective.terms())
+
+
+def test_clique_bound_covers_every_descendant():
+    # On the registry's clique-term problems at n <= 8, for every node g of
+    # the full walk, every descendant host's value is at most the bound over
+    # g's allowed sets, which is at most the bound over all of g; the
+    # allowed sets are exactly the subsets holding no blocked set of g; and
+    # the seed is at most the maximum.  One walk per host size and family.
+    groups = {}
+    for p in _clique_term_problems(8):
+        groups.setdefault((p.n, search._family_key(p.forbidden)), []).append(p)
+    assert len(groups) > 10
+    cap = search.DEFAULT_WITNESS_CAP
+    for problems in groups.values():
+        n, forbidden = problems[0].n, problems[0].forbidden
+        objectives = [p.objective for p in problems]
+        coefs = [search._clique_coefficients(p, cap) for p in problems]
+
+        def hook(g, chain, blocked):
+            if g.n == 0:
+                return None, ()
+            sets = search._allowed_sets(g.n, blocked())
+            for s in range(1 << g.n):
+                allowed = all(s & b != b for b in blocked())
+                assert allowed == any(s & t == s for t in sets), (g.adj, s)
+            bounds = []
+            for objective, coef in zip(objectives, coefs):
+                value = _clique_term_value(objective, g)
+                whole = search._clique_gain(coef[g.n], g.adj, [(1 << g.n) - 1])
+                more = search._clique_gain(coef[g.n], g.adj, sets)
+                bounds.append((value + whole, None if more is None else value + more))
+            return None, chain + ((g.adj, bounds),)
+
+        maxima = [None] * len(problems)
+        for host, chain, _ in enumerate_graphs(n, forbidden, _node_hook=hook):
+            values = [_clique_term_value(objective, host) for objective in objectives]
+            for adj, bounds in chain:
+                for p, value, (whole, more) in zip(problems, values, bounds):
+                    assert more is not None and value <= more <= whole, \
+                        (serialize_problem(p), adj, host.adj)
+            maxima = [v if m is None else max(m, v) for m, v in zip(maxima, values)]
+        for p, top in zip(problems, maxima):
+            seed = search._seed(p, cap)
+            assert seed is None or seed <= top, serialize_problem(p)
+
+
+def test_capped_bounded_search_starts_no_helper_search(monkeypatch):
+    # A budget, a host cap or roots leave the bounded search as it was: one
+    # search, no seed and no clique-term bound, the same maximum.
+    problem = SearchProblem(7, (copies(2, K3),), Objective.edges())
+    calls = []
+    real = search.brute_force_ex
+
+    def counted(problem, **kwargs):
+        calls.append(problem.n)
+        return real(problem, **kwargs)
+
+    monkeypatch.setattr(search, "brute_force_ex", counted)
+    search.clear_cache()
+    full = real(problem)
+    for kwargs in ({"budget_seconds": 1e9}, {"max_explored": 10 ** 9}):
+        calls.clear()
+        r = search.brute_force_ex(problem, bounded=True, **kwargs)
+        assert calls == [7] and r.exhaustive
+        assert (r.value, r.num_extremal, r.witnesses) == \
+            (full.value, full.num_extremal, full.witnesses)
+    calls.clear()
+    parts = [search.brute_force_ex(p, bounded=True) for p in shard(problem, 2)]
+    assert calls == [7, 7]
+    assert merge(parts).value == full.value
+    assert len(search._cache) == 1
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_2k3_free_edge_maxima_match_erdos_moon(n):
+    # ex(n, 2K3) = (n-1) + floor((n-1)^2/4) (Erdos 1962; Moon 1968), with
+    # K1 joined to T(n-1, 2) the one extremal graph: 24 at n = 9, 29 at 10.
+    search.clear_cache()
+    r = brute_force_ex(SearchProblem(n, (copies(2, K3),), Objective.edges()),
+                       bounded=True)
+    assert r.value == (n - 1) + (n - 1) ** 2 // 4 == {9: 24, 10: 29}[n]
+    assert r.num_extremal == 1 and r.exhaustive
+    star = join(complete(1), turan(n - 1, 2))
+    assert r.witnesses == (encode_graph6(canonical_graph(star)),)
 
 
 def test_carried_values_match_fresh_counts():
     # Every host the walk yields to a search, in both modes, carries a value
     # (its parent's plus the parent's attachment table at its new vertex)
-    # equal to a from-scratch count, and a certificate equal to a fresh
-    # canonical search's.  Each host is checked as it is yielded, before the
-    # search's own witness re-check could stop the run.
-    real = search.enumerate_graphs
-    current = {}
+    # equal to a from-scratch count of that search's own objective, and a
+    # certificate equal to a fresh canonical search's.  The helper searches
+    # a bounded search starts (its seed and its clique-term bound) are
+    # checked the same way, each against its own problem.  Each host is
+    # checked as it is yielded, before the search's own witness re-check
+    # could stop the run.
+    real_walk, real_search = search.enumerate_graphs, search.brute_force_ex
+    running = []
+    hosts = {}
+
+    def checking_search(problem, **kwargs):
+        running.append(problem)
+        try:
+            return real_search(problem, **kwargs)
+        finally:
+            running.pop()
 
     def checking(n, forbidden, **kwargs):
-        problem, bounded = current["problem"], current["bounded"]
+        # A search's walk starts after its helper searches have returned.
+        problem = running[-1]
+        assert (n, forbidden) == (problem.n, problem.forbidden)
         objective = problem.objective
-        for g, token, cert in real(n, forbidden, **kwargs):
+        for g, token, cert in real_walk(n, forbidden, **kwargs):
             assert search._value(objective, g, token) == objective.evaluate(g), \
-                (serialize_problem(problem), bounded, g.adj)
-            assert cert == canonical_cert(g), (serialize_problem(problem), g.adj)
-            current["hosts"] += 1
+                (serialize_problem(problem), g.adj)
+            # Only a start graph at level n, here the 0-vertex graph at
+            # n = 0, comes without a certificate.
+            assert cert == (None if n == 0 else canonical_cert(g)), \
+                (serialize_problem(problem), g.adj)
+            key = serialize_problem(problem)
+            hosts[key] = hosts.get(key, 0) + 1
             yield g, token, cert
 
     def check(problems):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "enumerate_graphs", checking)
+            mp.setattr(search, "brute_force_ex", checking_search)
             for problem in problems:
                 for bounded in (False, True):
-                    current.update(problem=problem, bounded=bounded, hosts=0)
+                    hosts.clear()
                     search.clear_cache()
-                    brute_force_ex(problem, bounded=bounded)
-                    assert current["hosts"], serialize_problem(problem)
+                    search.brute_force_ex(problem, bounded=bounded)
+                    assert hosts.get(serialize_problem(problem)), \
+                        (serialize_problem(problem), bounded)
+                    if bounded and problem.n > 1:
+                        # The seed's (n-1) search walked and was checked.
+                        assert len(hosts) > 1, serialize_problem(problem)
+            assert not running
 
     check([SearchProblem(n, (K3,), Objective.copies(h))
            for h in (_2K2, _P3, cycle(5), _K13) for n in (6, 7)]
