@@ -26,8 +26,7 @@ from .constructions import (default_center_vertex, erdos_value, f_star,
                             thm35_leading, thm35_lower, thm62_lower,
                             turan_clique_count, universal_join, x_exponent)
 from .search import (ExtremalResult, Objective, SearchProblem, brute_force_ex,
-                     merge, parse_problem, result_line, serialize_problem,
-                     shard)
+                     merge, parse_problem, result_line, serialize_problem)
 from .verify import (TheoremCheck, VerifyConfig, emit_report, registry_ids,
                      run_all, run_check)
 

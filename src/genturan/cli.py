@@ -21,7 +21,7 @@ from .graphs import Graph, canonical_graph, enumerate_graphs
 from .gspec import SpecError, parse_spec, parse_spec_list
 from .packing import canonical_partition, max_disjoint_packing
 from .search import (DEFAULT_WITNESS_CAP, Objective, SearchProblem,
-                     brute_force_ex, merge, result_line, shard)
+                     brute_force_ex, merge, result_line)
 from .verify import (FAIL, VerifyConfig, emit_report, registry_ids,
                      run_all, run_check)
 
@@ -109,6 +109,8 @@ def _load_config(path: str | None) -> dict:
             if key not in CONFIG_KEYS:
                 raise UsageError(f"unknown config key {key!r} in {path}; "
                                  f"known: {', '.join(CONFIG_KEYS)}")
+            if key in out:
+                raise UsageError(f"repeated config key {key!r} in {path}")
             try:
                 out[key] = CONFIG_KEYS[key](value.strip())
             except (ValueError, argparse.ArgumentTypeError) as err:
@@ -235,11 +237,12 @@ def _cmd_search(args) -> int:
     seconds, left = args.budget_seconds, args.max_explored
     deadline = None if seconds is None else time.monotonic() + seconds
     results = []
-    for piece in shard(problem, args.shards):
+    for i in range(args.shards):
         if deadline is not None:
             seconds = max(0.0, deadline - time.monotonic())
-        results.append(brute_force_ex(piece, witness_cap=args.witness_cap,
-                                      budget_seconds=seconds, max_explored=left))
+        results.append(brute_force_ex(problem, witness_cap=args.witness_cap,
+                                      budget_seconds=seconds, max_explored=left,
+                                      shard=(i, args.shards)))
         if left is not None:
             left -= results[-1].explored
     result = merge(results, witness_cap=args.witness_cap)
@@ -253,7 +256,7 @@ def _cmd_enumerate(args) -> int:
     count = 0
     if args.canonical:
         # The walk hands out the certificate each graph's acceptance test
-        # computed; only a start graph at level n (n = 0) has none.
+        # computed; only the 0-vertex graph (n = 0) has none.
         stream = enumerate_graphs(args.n, forbidden, _node_hook=_keep_every_child)
         graphs = (canonical_graph(g) if cert is None else Graph._make(g.n, cert)
                   for g, _, cert in stream)
@@ -283,6 +286,8 @@ def _cmd_verify(args) -> int:
         key, eq, value = kv.partition("=")
         if not eq:
             raise UsageError(f"bad --param {kv!r}; expected KEY=VALUE")
+        if key in params:
+            raise UsageError(f"repeated --param key {key!r}")
         params[key] = value
     if args.check == "all":
         if params:

@@ -561,7 +561,6 @@ def _accept_child(adj: tuple[int, ...], n: int) -> _CanonResult | None:
 
 
 def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
-                     _roots: Sequence[Graph] | None = None,
                      _node_hook=None) -> Iterator:
     """Yield one representative per isomorphism class of n-vertex graphs
     with no subgraph copy of any member of `forbidden`.
@@ -578,17 +577,15 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     subsets holding one are dropped before any child is built (see
     `packing.FreenessPrune`).
 
-    The walk starts from the 0-vertex graph, or from the mid-tree graphs
-    `_roots` (each checked in full for freeness; a root's level is its vertex
-    count, at most n); shards of an extremal search use this to split the
-    tree deterministically.  Each start graph gets one canonical search for
-    its generators; below it, every graph carries the generators its
-    acceptance test found.
+    The walk starts from the 0-vertex graph, which is checked for freeness
+    (a 0-vertex member leaves nothing to walk) and has no automorphism
+    generators; below it, every graph carries the generators its acceptance
+    test found.
 
-    `_node_hook`, when given, is called with every graph below level n,
-    before its children are looked for, with the token its parent's call
-    returned (None for a start graph) and with a function of no arguments
-    that returns the graph's blocked sets.  Those are found on the first
+    `_node_hook`, when given, is called with every graph below level n, in
+    walk order, before its children are looked for, with the token its
+    parent's call returned (None for the 0-vertex graph) and with a function
+    of no arguments that returns the graph's blocked sets.  Those are found on the first
     call and shared with `_children`, so each graph's are found at most
     once, and never for a graph the hook skips without asking.  The hook
     returns a pair (keep, token).  `keep` is None to keep every child, False
@@ -599,35 +596,31 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     exception the hook raises ends the walk.  With a hook the walk yields
     triples (graph, token, cert): the token the graph's parent's call
     returned and the graph's canonical certificate, which its acceptance
-    test computed (both None for a start graph at level n).  Extremal
+    test computed (both None for the 0-vertex graph when n = 0).  Extremal
     searches use it to carry values down the walk, for their incumbent
-    bounds and for their deadline.
+    bounds, for their deadline and for their shards.
 
     Arguments are checked when this is called, before the first `next`.
     """
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-    start = [empty_graph(0)] if _roots is None else list(_roots)
-    if any(g.n > n for g in start):
-        raise ValueError(f"a root has more than n={n} vertices")
     # packing and counting build on this module
     from .packing import FreenessPrune
-    leaves = _walk(start, n, FreenessPrune(forbidden, n), _node_hook)
+    leaves = _walk(n, FreenessPrune(forbidden, n), _node_hook)
     if _node_hook is None:
         return (g for g, _, _ in leaves)
     return leaves
 
 
-def _walk(start: list[Graph], n: int, prune, hook) -> Iterator[tuple]:
+def _walk(n: int, prune, hook) -> Iterator[tuple]:
     from .counting import is_family_free
-    for g in start:
-        if not is_family_free(g, prune.members):
-            continue
-        if g.n == n:
-            yield g, None, None
-        else:
-            yield from _descend(g, _canon_search(g.adj, g.n).gens, n, prune,
-                                hook, None)
+    g = empty_graph(0)
+    if not is_family_free(g, prune.members):
+        return
+    if n == 0:
+        yield g, None, None
+    else:
+        yield from _descend(g, [], n, prune, hook, None)
 
 
 def _descend(g: Graph, gens: list[tuple[int, ...]], n: int, prune, hook,

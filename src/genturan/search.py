@@ -3,8 +3,9 @@
 The searcher walks one representative per isomorphism class of n-vertex
 hosts (canonical augmentation with hereditary forbidden-subgraph pruning),
 evaluates an objective on every family-free host, and reports the exact
-maximum with canonical witnesses.  Searches can be split into shards that
-partition the enumeration tree at a fixed depth; shard results merge
+maximum with canonical witnesses.  A search can be split into shards, each
+a filter on the same walk: the graphs at a fixed level are dealt round-robin
+in walk order, and a shard walks only below its own.  Shard results merge
 associatively and order-independently back into the unsharded answer.
 
 Every objective is a weighted sum of copy counts, its (weight, pattern)
@@ -19,9 +20,9 @@ embedder passes, one per term, over the graph plus a new vertex joined to
 all of it: the weighted copies through the new vertex, tallied by their
 neighbourhood there.  A child's value is its parent's plus the sum of the
 entries whose neighbourhood lies inside the child's new-vertex neighbour
-set; the value travels down the walk with the table, and only the graphs the
-walk starts from are counted from scratch.  A host's witness label is the
-canonical certificate its acceptance test already computed.
+set; the value travels down the walk with the table, and only the 0-vertex
+graph the walk starts from is counted from scratch.  A host's witness label
+is the canonical certificate its acceptance test already computed.
 
 In bounded mode the walk drops what cannot reach the incumbent, the best
 value known so far: at the last level, every child whose value is below it,
@@ -36,6 +37,7 @@ the hosts that can still reach the incumbent are evaluated.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -138,16 +140,11 @@ _K3 = Graph(3, (0b110, 0b101, 0b011))
 @dataclass(frozen=True)
 class SearchProblem:
     """An extremal question: maximize `objective` over n-vertex graphs with
-    no subgraph copy of any member of `forbidden`.
-
-    `roots` (graph6) restricts the search to the enumeration subtrees
-    hanging below the given graphs; a root's level is its vertex count, at
-    most n.  Shards are built this way."""
+    no subgraph copy of any member of `forbidden`."""
 
     n: int
     forbidden: tuple[Graph, ...]
     objective: Objective
-    roots: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -190,8 +187,9 @@ def _family_key(forbidden: tuple[Graph, ...]) -> tuple:
 
 def _problem_key(problem: SearchProblem) -> tuple:
     """The problem's host size, forbidden family and objective terms, graphs
-    by canonical certificate; shards (`roots`) of one problem share it, and
-    so do objectives with the same terms, such as copies of K2 and edges."""
+    by canonical certificate.  Objectives with the same terms, such as
+    copies of K2 and edges, share it, and so do the results of one problem's
+    shards."""
     terms = sorted((canonical_cert(h), w) for w, h in problem.objective.terms())
     return (problem.n, _family_key(problem.forbidden), tuple(terms))
 
@@ -212,7 +210,7 @@ class _OutOfTime(Exception):
 def _value(objective: Objective, g: Graph, token) -> int:
     """The objective's value on g, from the token of g's parent (its value
     and attachment table) and g's new vertex, the last one; counted from
-    scratch for a start graph, whose token is None."""
+    scratch for the 0-vertex graph, whose token is None."""
     if token is None:
         return objective.evaluate(g)
     value, table = token
@@ -356,19 +354,27 @@ def brute_force_ex(problem: SearchProblem, *,
                    witness_cap: int = DEFAULT_WITNESS_CAP,
                    budget_seconds: float | None = None,
                    max_explored: int | None = None,
-                   bounded: bool = False) -> ExtremalResult:
+                   bounded: bool = False,
+                   shard: tuple[int, int] | None = None) -> ExtremalResult:
     """Exact maximum of the objective over all family-free n-vertex graphs.
 
     Every value is carried down the walk: each graph below level n gets the
     attachment table of its objective (`Objective.increment`), and a child's
     value is its parent's plus the table's gain at the child's new vertex;
-    only the start graphs are counted from scratch.  A host's witness label
+    only the 0-vertex graph is counted from scratch.  A host's witness label
     is the certificate its acceptance test computed.
 
     Exceeding `budget_seconds` or `max_explored` stops the search and returns
     the best value seen with exhaustive=False.  The deadline is checked
     between hosts and once per graph below level n, so a walk that yields
     nothing for a while still stops.
+
+    `shard=(i, parts)` walks shard i of `parts`: the graphs at level
+    min(n-1, 5) (the one host when n = 0) are dealt round-robin in walk
+    order, and the walk skips each one whose position at that level is not
+    i mod parts, with all below it.  The shards partition the hosts, and
+    `merge` of their results is the unsharded result.  A shard is not
+    cached.
 
     With `bounded`, the walk drops what cannot reach the incumbent, the best
     value known so far:
@@ -377,7 +383,7 @@ def brute_force_ex(problem: SearchProblem, *,
       can reach it (every table entry counts copies, so no child beats the
       one whose new vertex is joined to the whole parent);
     - when the search is uncapped (no budget, no `max_explored`, no
-      `roots`), the incumbent starts at `_seed`, from the (n-1) problem's
+      shard), the incumbent starts at `_seed`, from the (n-1) problem's
       witnesses, before the first host;
     - when it is uncapped and every term counts cliques, also every graph at
       a level 1..n-1 whose clique-term bound (`_clique_coefficients`) is
@@ -398,8 +404,14 @@ def brute_force_ex(problem: SearchProblem, *,
         raise ValueError(f"max_explored must be >= 0, got {max_explored}")
     if budget_seconds is not None and not budget_seconds >= 0:
         raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
-    cacheable = (budget_seconds is None and max_explored is None
-                 and problem.roots is None)
+    if shard is not None:
+        index, parts = shard
+        if not 0 <= index < parts:
+            raise ValueError(f"shard must be (i, parts) with 0 <= i < parts, "
+                             f"got {shard}")
+        depth = max(0, min(problem.n - 1, 5))
+        positions = itertools.count()
+    cacheable = budget_seconds is None and max_explored is None and shard is None
     if cacheable:
         key = _problem_cache_key(problem, witness_cap, bounded)
         hit = _cache.get(key)
@@ -419,9 +431,16 @@ def brute_force_ex(problem: SearchProblem, *,
     seed = best
     last = problem.n - 1
 
+    # Called once for every graph the walk reaches, in walk order: whether g
+    # sits at the shard level at a position dealt to another shard.
+    def elsewhere(g: Graph) -> bool:
+        return g.n == depth and next(positions) % parts != index
+
     def node_hook(g: Graph, token, blocked):
         if deadline is not None and time.monotonic() > deadline:
             raise _OutOfTime
+        if shard is not None and elsewhere(g):
+            return False, None
         value = _value(objective, g, token)
         if coefs is not None and best is not None and g.n:
             coef = coefs[g.n]
@@ -442,9 +461,7 @@ def brute_force_ex(problem: SearchProblem, *,
         # as the parent's children raise it.
         return (lambda s: value + gain(table, s) >= best), token
 
-    roots = None if problem.roots is None else [decode_graph6(r) for r in problem.roots]
-    stream = enumerate_graphs(problem.n, forbidden, _roots=roots,
-                              _node_hook=node_hook)
+    stream = enumerate_graphs(problem.n, forbidden, _node_hook=node_hook)
     witnesses: list[str] = []
     top: int | None = None
     num_extremal = 0
@@ -452,6 +469,8 @@ def brute_force_ex(problem: SearchProblem, *,
     exhaustive = True
     try:
         for g, token, cert in stream:
+            if shard is not None and elsewhere(g):
+                continue
             if deadline is not None and time.monotonic() > deadline:
                 exhaustive = False
                 break
@@ -462,7 +481,7 @@ def brute_force_ex(problem: SearchProblem, *,
             value = _value(objective, g, token)
             if best is not None and value < best:
                 continue
-            # The acceptance test labelled every graph below the start graphs.
+            # The acceptance test labelled every host but the 0-vertex one.
             label = canonical_graph(g) if cert is None else Graph._make(g.n, cert)
             if top is None or value > top:
                 top = best = value
@@ -499,29 +518,8 @@ def brute_force_ex(problem: SearchProblem, *,
 
 
 # ---------------------------------------------------------------------------
-# Sharding
+# Merging shards
 # ---------------------------------------------------------------------------
-
-def shard(problem: SearchProblem, parts: int) -> list[SearchProblem]:
-    """Split the enumeration tree at a fixed depth into `parts` subproblems.
-
-    The classes at depth min(n - 1, 5) (0 for n = 0) are dealt round-robin
-    as roots, so the shard list is a deterministic partition of the search
-    space; merging the shard results reproduces the unsharded result
-    exactly."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if problem.roots is not None:
-        raise ValueError("cannot re-shard a shard")
-    if parts == 1:
-        return [problem]
-    depth = max(0, min(problem.n - 1, 5))
-    roots = [encode_graph6(g) for g in enumerate_graphs(depth, problem.forbidden)]
-    buckets: list[list[str]] = [[] for _ in range(parts)]
-    for i, r in enumerate(roots):
-        buckets[i % parts].append(r)
-    return [replace(problem, roots=tuple(b)) for b in buckets]
-
 
 def merge(results: list[ExtremalResult] | tuple[ExtremalResult, ...],
           witness_cap: int = DEFAULT_WITNESS_CAP) -> ExtremalResult:
@@ -568,8 +566,6 @@ def serialize_problem(problem: SearchProblem) -> str:
         parts.append(f"k={problem.objective.k}")
     if problem.forbidden:
         parts.append("forbid=" + ",".join(encode_graph6(f) for f in problem.forbidden))
-    if problem.roots is not None:
-        parts.append("roots=" + ",".join(problem.roots))
     return " ".join(parts)
 
 
@@ -579,7 +575,7 @@ def parse_problem(text: str) -> SearchProblem:
         if "=" not in token:
             raise ValueError(f"bad problem token {token!r}")
         key, _, value = token.partition("=")
-        if key not in ("n", "objective", "pattern", "k", "forbid", "roots"):
+        if key not in ("n", "objective", "pattern", "k", "forbid"):
             raise ValueError(f"unknown problem key {key!r}")
         if key in fields:
             raise ValueError(f"repeated problem key {key!r}")
@@ -594,10 +590,7 @@ def parse_problem(text: str) -> SearchProblem:
     objective = Objective(kind, pattern=pattern, k=k)
     forbidden = tuple(decode_graph6(t) for t in fields["forbid"].split(",")) \
         if fields.get("forbid") else ()
-    roots = fields.get("roots")
-    if roots is not None:
-        roots = tuple(roots.split(",")) if roots else ()
-    return SearchProblem(n, forbidden, objective, roots=roots)
+    return SearchProblem(n, forbidden, objective)
 
 
 def result_line(problem: SearchProblem, result: ExtremalResult) -> str:

@@ -155,7 +155,7 @@ def _registry_run() -> tuple[list, list[Graph]]:
     return list(problems), list(patterns)
 
 
-def every_subset_walk(n: int, forbidden=(), roots=None):
+def every_subset_walk(n: int, forbidden=()):
     """Reference for `enumerate_graphs`: the walk without orbit pruning.
 
     Every neighbour subset of the new vertex is tried, in ascending order,
@@ -185,9 +185,8 @@ def every_subset_walk(n: int, forbidden=(), roots=None):
                 seen.add(cert)
                 yield from descend(child)
 
-    for g in [Graph(0)] if roots is None else roots:
-        if is_family_free(g, forbidden):
-            yield from descend(g)
+    if is_family_free(Graph(0), forbidden):
+        yield from descend(Graph(0))
 
 
 def naive_isomorphic(g: Graph, h: Graph) -> bool:

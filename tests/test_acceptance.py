@@ -25,8 +25,7 @@ from genturan.graphs import (canonical_graph, complete, complete_bipartite,
 from genturan.packing import (canonical_partition, is_kF_free,
                               max_packing_size)
 from genturan import search
-from genturan.search import (Objective, SearchProblem, brute_force_ex, merge,
-                             shard)
+from genturan.search import Objective, SearchProblem, brute_force_ex, merge
 from genturan.verify import run_check
 
 from conftest import (naive_count_copies, naive_max_packing, package_env,
@@ -238,9 +237,7 @@ def test_criterion_9_determinism(tmp_path):
     problem = SearchProblem(7, (copies(2, K3),), Objective.copies(K3))
     search.clear_cache()
     full = brute_force_ex(problem)
-    pieces = shard(problem, 4)
-    assert len(pieces) == 4
-    merged = merge([brute_force_ex(p) for p in pieces])
+    merged = merge([brute_force_ex(problem, shard=(i, 4)) for i in range(4)])
     assert merged.value == full.value
     assert merged.witnesses == full.witnesses
     assert merged.num_extremal == full.num_extremal

@@ -218,6 +218,13 @@ def test_verify_unknown_param_usage_error(capsys):
     assert code == 2 and "bad --param 'bogus'; expected KEY=VALUE" in err
 
 
+def test_verify_repeated_param_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "thm2.1", "--n-range", "5..5",
+                             "--param", "k=2", "--param", "k=3")
+    assert code == 2 and out == ""
+    assert "repeated --param key 'k'" in err
+
+
 def test_config_unknown_key_usage_error(capsys, tmp_path):
     cfg = tmp_path / "verify.cfg"
     cfg.write_text("max-explored=3\nwitness_cap=4\n")
@@ -292,3 +299,12 @@ def test_config_bad_value_usage_error(capsys, tmp_path, line, key):
                              "--config", str(cfg))
     assert code == 2 and out == ""
     assert f"bad value for config key {key!r}" in err
+
+
+def test_config_repeated_key_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("workers=2\nworkers=1\n")
+    code, out, err = run_cli(capsys, "verify", "erdos", "--n-range", "5..5",
+                             "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"repeated config key 'workers' in {cfg}" in err

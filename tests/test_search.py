@@ -24,7 +24,7 @@ from genturan.graphs import (Graph, add_vertex, automorphism_count, canonical_ce
 from genturan.packing import FreenessPrune
 from genturan.search import (ExtremalResult, Objective, SearchProblem,
                              brute_force_ex, merge, parse_problem, result_line,
-                             serialize_problem, shard)
+                             serialize_problem)
 
 from conftest import (all_labeled_graphs, every_subset_walk,
                       naive_isomorphism_classes, package_env, random_graph,
@@ -147,18 +147,6 @@ def test_blocked_sets_match_the_full_freeness_test():
                 assert hit != is_family_free(child, family), (family, g.adj, s)
 
 
-def test_shard_roots_give_the_unsharded_classes():
-    family = (copies(2, K3),)
-    full = [canonical_form(g) for g in enumerate_graphs(8, family)]
-    sharded = []
-    for piece in shard(SearchProblem(8, family, Objective.edges()), 3):
-        roots = [decode_graph6(r) for r in piece.roots]
-        sharded += [canonical_form(g) for g in enumerate_graphs(
-            8, family, _roots=roots)]
-    assert len(full) == 4155
-    assert sorted(sharded) == sorted(full)
-
-
 def _labelled(graphs):
     return [(g.n, g.adj) for g in graphs]
 
@@ -173,38 +161,54 @@ def test_orbit_pruned_walk_matches_oracle():
             assert got == _labelled(every_subset_walk(n, family)), (n, family)
 
 
-def test_orbit_pruned_walk_matches_oracle_from_shard_roots():
-    family = (copies(2, K3),)
-    total = 0
-    for piece in shard(SearchProblem(8, family, Objective.edges()), 3):
-        roots = [decode_graph6(r) for r in piece.roots]
-        got = _labelled(enumerate_graphs(8, family, _roots=roots))
-        assert got == _labelled(every_subset_walk(8, family, roots))
-        total += len(got)
-    assert total == 4155
-
-
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_shards_merge_to_unsharded_at_small_n(n):
     problem = SearchProblem(n, (), Objective.edges())
     search.clear_cache()
     full = brute_force_ex(problem)
-    pieces = shard(problem, 3)
-    assert merge([brute_force_ex(p) for p in pieces]) == full
+    pieces = [brute_force_ex(problem, shard=(i, 3)) for i in range(3)]
+    assert merge(pieces) == full
     assert full.explored == (2 if n == 2 else 1)
-    # Two of the three shards get no root; their descriptors still round-trip.
-    assert [parse_problem(serialize_problem(p)) for p in pieces] == pieces
 
 
-def test_root_level_is_its_vertex_count():
-    r = brute_force_ex(parse_problem("n=4 objective=edges roots=A_"))
-    assert r.witnesses and all(decode_graph6(w).n == 4 for w in r.witnesses)
+# Per-shard `explored` of 2K3-free n=8 edges, by number of parts.
+SHARD_EXPLORED = {2: [1667, 2488], 3: [1111, 1794, 1250],
+                  4: [917, 2059, 750, 429],
+                  7: [1182, 1472, 593, 82, 8, 659, 159]}
 
 
-def test_root_above_n_rejected():
-    problem = SearchProblem(3, (), Objective.edges(), roots=(encode_graph6(complete(4)),))
-    with pytest.raises(ValueError, match="more than n=3"):
-        brute_force_ex(problem)
+def test_shards_deal_the_walk_into_disjoint_classes(monkeypatch):
+    problem = SearchProblem(8, (copies(2, K3),), Objective.edges())
+    full_classes = {canonical_form(g) for g in enumerate_graphs(8, problem.forbidden)}
+    assert len(full_classes) == 4155
+    search.clear_cache()
+    full = brute_force_ex(problem)
+    real = search.enumerate_graphs
+    hosts = []
+
+    def recorded(*args, **kwargs):
+        for item in real(*args, **kwargs):
+            hosts[-1].append(canonical_form(item[0]))
+            yield item
+
+    monkeypatch.setattr(search, "enumerate_graphs", recorded)
+    for parts, explored in SHARD_EXPLORED.items():
+        results = []
+        hosts.clear()
+        for i in range(parts):
+            hosts.append([])
+            results.append(brute_force_ex(problem, shard=(i, parts)))
+        assert [r.explored for r in results] == explored
+        assert [len(h) for h in hosts] == explored
+        every = [c for h in hosts for c in h]
+        assert len(set(every)) == len(every) and set(every) == full_classes
+        assert merge(results) == full
+
+
+@pytest.mark.parametrize("bad", [(-1, 2), (2, 2), (0, 0)])
+def test_shard_outside_its_parts_rejected(bad):
+    with pytest.raises(ValueError, match="0 <= i < parts"):
+        brute_force_ex(SearchProblem(4, (), Objective.edges()), shard=bad)
 
 
 def test_brute_force_spec_examples():
@@ -326,9 +330,7 @@ def test_shard_merge_identity_and_permutation_invariance():
     problem = SearchProblem(6, (K3,), Objective.copies(copies(2, complete(2))))
     search.clear_cache()
     full = brute_force_ex(problem)
-    pieces = shard(problem, 4)
-    assert len(pieces) == 4
-    results = [brute_force_ex(p) for p in pieces]
+    results = [brute_force_ex(problem, shard=(i, 4)) for i in range(4)]
     merged = merge(results)
     assert merged == full
     rng = random.Random(9)
@@ -337,7 +339,7 @@ def test_shard_merge_identity_and_permutation_invariance():
         rng.shuffle(perm)
         assert merge(perm) == full
     # single shard is the identity
-    assert shard(problem, 1) == [problem]
+    assert brute_force_ex(problem, shard=(0, 1)) == full
     # associativity: fold pairwise in arbitrary grouping
     left = merge([merge(results[:2]), merge(results[2:])])
     assert left == full
@@ -347,22 +349,20 @@ def test_shard_counts_partition_explored():
     problem = SearchProblem(6, (), Objective.edges())
     search.clear_cache()
     full = brute_force_ex(problem)
-    results = [brute_force_ex(p) for p in shard(problem, 3)]
+    results = [brute_force_ex(problem, shard=(i, 3)) for i in range(3)]
     assert sum(r.explored for r in results) == full.explored == 156
 
 
 def test_problem_serialization_roundtrip():
     problem = SearchProblem(7, (K3, cycle(4)), Objective.copies(complete(4)))
     assert parse_problem(serialize_problem(problem)) == problem
-    for piece in shard(problem, 2):
-        assert parse_problem(serialize_problem(piece)) == piece
     star = SearchProblem(6, (cycle(5),), Objective.exstar(3))
     assert parse_problem(serialize_problem(star)) == star
     line = result_line(problem, brute_force_ex(problem))
     assert line.startswith("n=7 ") and "value=" in line
 
 
-@pytest.mark.parametrize("key", ["bogus", "root_level"])
+@pytest.mark.parametrize("key", ["bogus", "root_level", "roots"])
 def test_parse_problem_rejects_unknown_keys(key):
     with pytest.raises(ValueError, match=repr(key)):
         parse_problem(f"n=5 objective=edges forbid=Bw {key}=1")
@@ -630,7 +630,7 @@ def test_clique_bound_covers_every_descendant():
 
 
 def test_capped_bounded_search_starts_no_helper_search(monkeypatch):
-    # A budget, a host cap or roots leave the bounded search as it was: one
+    # A budget, a host cap or a shard leave the bounded search as it was: one
     # search, no seed and no clique-term bound, the same maximum.
     problem = SearchProblem(7, (copies(2, K3),), Objective.edges())
     calls = []
@@ -650,7 +650,8 @@ def test_capped_bounded_search_starts_no_helper_search(monkeypatch):
         assert (r.value, r.num_extremal, r.witnesses) == \
             (full.value, full.num_extremal, full.witnesses)
     calls.clear()
-    parts = [search.brute_force_ex(p, bounded=True) for p in shard(problem, 2)]
+    parts = [search.brute_force_ex(problem, bounded=True, shard=(i, 2))
+             for i in range(2)]
     assert calls == [7, 7]
     assert merge(parts).value == full.value
     assert len(search._cache) == 1
@@ -733,8 +734,8 @@ def test_merge_refuses_results_of_different_problems():
     relabelled = SearchProblem(6, (relabel(cycle(4), [0, 2, 1, 3]),),
                                Objective.copies(relabel(_P3, [1, 0, 2])))
     # One shard of each: relabelled graphs make the same problem.
-    parts = [shard(problem, 2)[0], shard(relabelled, 2)[1]]
-    merged = merge([brute_force_ex(p) for p in parts])
+    merged = merge([brute_force_ex(problem, shard=(0, 2)),
+                    brute_force_ex(relabelled, shard=(1, 2))])
     search.clear_cache()
     full = brute_force_ex(problem)
     assert (merged.value, merged.num_extremal, merged.witnesses) == \
@@ -769,7 +770,6 @@ def test_deadline_stops_the_walk_between_parents(monkeypatch, bounded):
 @pytest.mark.parametrize("call,match", [
     (lambda: enumerate_graphs(65), "outside 0..64"),
     (lambda: enumerate_graphs(-1), "outside 0..64"),
-    (lambda: enumerate_graphs(3, _roots=[complete(4)]), "more than n=3"),
 ])
 def test_enumerate_graphs_checks_arguments_when_called(call, match):
     # No `next`: the error comes from the call itself.
