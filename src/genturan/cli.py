@@ -277,8 +277,10 @@ def _keep_every_child(g: Graph, token, blocked) -> tuple[None, None]:
 
 def _cmd_verify(args) -> int:
     settings = _settings(args)
+    # One deadline for the whole run, every search getting the time left.
+    seconds = settings.get("budget-seconds")
     cfg = VerifyConfig(witness_cap=settings.get("witness-cap", DEFAULT_WITNESS_CAP),
-                       budget_seconds=settings.get("budget-seconds"),
+                       deadline=None if seconds is None else time.monotonic() + seconds,
                        max_explored=settings.get("max-explored"))
     n_range = _parse_range(args.n_range) if args.n_range else None
     params = {}

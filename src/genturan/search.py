@@ -26,13 +26,13 @@ is the canonical certificate its acceptance test already computed.
 
 In bounded mode the walk drops what cannot reach the incumbent, the best
 value known so far: at the last level, every child whose value is below it,
-before the child is built.  An uncapped bounded search also seeds the
-incumbent, before the walk, from the (n-1) problem's witnesses, each joined
-to a new vertex; and, when every term counts cliques, drops every graph
-whose clique-term bound, taken from its allowed neighbour sets and from
-smaller searches' ex(p, K_j, F), is below it, at every level.  The maximum,
-the extremal count and the witnesses are those of the full walk, but only
-the hosts that can still reach the incumbent are evaluated.
+before the child is built; and, when every term counts cliques, every graph
+whose clique-term bound, taken from its allowed neighbour sets and from the
+binomials C(p, j) that cap the j-cliques of any p-vertex graph, is below it,
+at every level.  An uncapped bounded search also seeds the incumbent, before
+the walk, from the (n-1) problem's witnesses, each joined to a new vertex.
+The maximum, the extremal count and the witnesses are those of the full
+walk, but only the hosts that can still reach the incumbent are evaluated.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
+from math import comb
 
 from .graphs import (Graph, VerificationError, add_vertex, canonical_cert,
-                     canonical_graph, complete, enumerate_graphs)
+                     canonical_graph, enumerate_graphs)
 from .graph6 import decode_graph6, encode_graph6
 # count_induced_family is not called here; it stays importable from this
 # module, where the benchmark's spans wrap it.
@@ -174,8 +175,8 @@ class ExtremalResult:
 
 
 # The result cache holds at most this many keys and drops the oldest first.
-# A serial `verify all` creates 213 keys over the default ranges and 210 with
-# `--n-range 5..8`, the helper searches of its bounded searches included.
+# A serial `verify all` creates 188 keys over the default ranges and 185 with
+# `--n-range 5..8`, the seeds' (n-1) searches included.
 _CACHE_KEYS = 512
 
 _cache: dict[tuple, ExtremalResult] = {}
@@ -271,8 +272,7 @@ def _clique_orders(objective: Objective) -> list[tuple[int, int]] | None:
     return out
 
 
-def _clique_coefficients(problem: SearchProblem,
-                         witness_cap: int) -> dict[int, list[int]] | None:
+def _clique_coefficients(problem: SearchProblem) -> dict[int, list[int]] | None:
     """The clique-term bound of every level m = 1..n-1, as coefficients:
     every family-free n-vertex host holding g (m vertices) as its first m
     vertices has value at most
@@ -280,28 +280,16 @@ def _clique_coefficients(problem: SearchProblem,
         value(g) + sum over q of coef[m][q] * max over allowed s of K_q(g[s]),
 
     with coef[m][q] the sum over the terms (w, K_r), r > q, of
-    w * ex(n-m, K_(r-q), F).  A copy of K_r meeting the n-m new vertices W in
-    j of them is a j-clique of W (W induces a family-free graph, so there
-    are at most ex(n-m, K_j, F) of those) plus a K_(r-j) inside those
-    vertices' common neighbourhood in g, which lies inside one of their
-    allowed neighbour sets.  ex(p, K_1, F) = p and ex(p, K_j, F) = 0 for
-    j > p; the others come from smaller bounded searches, through the
-    result cache.  None when the objective has a term that is not a clique
-    count."""
+    w * C(n-m, r-q).  A copy of K_r meeting the n-m new vertices W in j of
+    them is a j-clique of W (at most C(n-m, j) of those) plus a K_(r-j)
+    inside those vertices' common neighbourhood in g, which lies inside one
+    of their allowed neighbour sets.  None when the objective has a term
+    that is not a clique count."""
     orders = _clique_orders(problem.objective)
     if orders is None:
         return None
     top = max([r for _, r in orders], default=0)
-    ex: dict[tuple[int, int], int] = {}
-    for p in range(1, problem.n):
-        for j in range(1, top + 1):
-            if j == 1 or j > p:
-                ex[p, j] = p if j == 1 else 0
-            else:
-                sub = SearchProblem(p, problem.forbidden, Objective.copies(complete(j)))
-                ex[p, j] = brute_force_ex(sub, witness_cap=witness_cap,
-                                          bounded=True).value or 0
-    return {m: [sum(w * ex[problem.n - m, r - q] for w, r in orders if r > q)
+    return {m: [sum(w * comb(problem.n - m, r - q) for w, r in orders if r > q)
                 for q in range(top)]
             for m in range(1, problem.n)}
 
@@ -382,28 +370,30 @@ def brute_force_ex(problem: SearchProblem, *,
       is built or canonically tested, and a parent none of whose children
       can reach it (every table entry counts copies, so no child beats the
       one whose new vertex is joined to the whole parent);
+    - when every term counts cliques, every graph at a level 1..n-1 whose
+      clique-term bound (`_clique_coefficients`) is below it, before the
+      graph's attachment table is built.  The bound is first taken over all
+      of the graph, then over its allowed sets, so a graph dropped by the
+      first never has its blocked sets found.  A shard applies it only from
+      its shard level down, so that every shard deals the same graphs;
     - when the search is uncapped (no budget, no `max_explored`, no
       shard), the incumbent starts at `_seed`, from the (n-1) problem's
-      witnesses, before the first host;
-    - when it is uncapped and every term counts cliques, also every graph at
-      a level 1..n-1 whose clique-term bound (`_clique_coefficients`) is
-      below it, before the graph's attachment table is built.  The bound is
-      first taken over all of the graph, then over its allowed sets, so a
-      graph dropped by the first never has its blocked sets found.
-    The seed and the ex(p, K_j, F) the bound needs come from smaller bounded
-    searches, run before the walk; a capped search starts none.  The
-    incumbent never exceeds the final maximum, so every extremal class is
-    still produced exactly once: `value`, `num_extremal`, `witnesses` and
-    `exhaustive` are those of the full search and come from evaluated
-    hosts, while `explored` counts only the hosts evaluated.  Full searches
-    keep `explored` equal to the class count, which shard merges and the
-    `search` result line report."""
+      witnesses, before the first host.
+    The seed comes from the (n-1) bounded search, run before the walk; a
+    capped search starts none.  The incumbent never exceeds the final
+    maximum, so every extremal class is still produced exactly once:
+    `value`, `num_extremal`, `witnesses` and `exhaustive` are those of the
+    full search and come from evaluated hosts, while `explored` counts only
+    the hosts evaluated.  Full searches keep `explored` equal to the class
+    count, which shard merges and the `search` result line report."""
     if witness_cap < 1:
         raise ValueError(f"witness_cap must be >= 1, got {witness_cap}")
     if max_explored is not None and max_explored < 0:
         raise ValueError(f"max_explored must be >= 0, got {max_explored}")
     if budget_seconds is not None and not budget_seconds >= 0:
         raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
+    # The clique-term bound drops graphs from this level down.
+    lowest = 1
     if shard is not None:
         index, parts = shard
         if not 0 <= index < parts:
@@ -411,6 +401,7 @@ def brute_force_ex(problem: SearchProblem, *,
                              f"got {shard}")
         depth = max(0, min(problem.n - 1, 5))
         positions = itertools.count()
+        lowest = max(1, depth)
     cacheable = budget_seconds is None and max_explored is None and shard is None
     if cacheable:
         key = _problem_cache_key(problem, witness_cap, bounded)
@@ -423,11 +414,8 @@ def brute_force_ex(problem: SearchProblem, *,
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     # `best` is the incumbent the bounds compare with; `top` the best value
     # of an evaluated host.
-    best: int | None = None
-    coefs = None
-    if bounded and cacheable:
-        best = _seed(problem, witness_cap)
-        coefs = _clique_coefficients(problem, witness_cap)
+    best = _seed(problem, witness_cap) if bounded and cacheable else None
+    coefs = _clique_coefficients(problem) if bounded else None
     seed = best
     last = problem.n - 1
 
@@ -442,7 +430,7 @@ def brute_force_ex(problem: SearchProblem, *,
         if shard is not None and elsewhere(g):
             return False, None
         value = _value(objective, g, token)
-        if coefs is not None and best is not None and g.n:
+        if coefs is not None and best is not None and g.n >= lowest:
             coef = coefs[g.n]
             more = _clique_gain(coef, g.adj, [(1 << g.n) - 1])
             if value + more >= best:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import time
 from dataclasses import dataclass, field
 from math import comb
 
@@ -50,8 +51,12 @@ REPORTED = "reported"
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """Search settings of one run.  `deadline` is a `time.monotonic()`
+    instant that bounds the whole run: every search gets the time left, and
+    pool workers read the same clock."""
+
     witness_cap: int = DEFAULT_WITNESS_CAP
-    budget_seconds: float | None = None
+    deadline: float | None = None
     max_explored: int | None = None
 
 
@@ -101,8 +106,9 @@ def _graph_param(params: dict, key: str) -> Graph:
 def _brute(n: int, forbidden: tuple[Graph, ...], objective: Objective,
            cfg: VerifyConfig) -> ExtremalResult:
     problem = SearchProblem(n, forbidden, objective)
+    seconds = None if cfg.deadline is None else max(0.0, cfg.deadline - time.monotonic())
     return brute_force_ex(problem, witness_cap=cfg.witness_cap,
-                          budget_seconds=cfg.budget_seconds,
+                          budget_seconds=seconds,
                           max_explored=cfg.max_explored, bounded=True)
 
 
@@ -299,11 +305,10 @@ def _run_thm27(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         raise HypothesisError("needs r >= 2, k >= 1 and a non-empty pattern")
     kf = copies(k, f)
     for n in ns:
-        per_m = []
-        for m in range(1, r + 1):
-            res = _brute(n, (f,), Objective.copies(complete(m)), cfg)
-            per_m.append(res)
-        values = [res.value if res.value is not None else -1 for res in per_m]
+        # ex(n, K1, F) = n: F has an edge, so the empty graph is F-free.
+        values = [n] + [_brute(n, (f,), Objective.copies(complete(m)), cfg).value
+                        for m in range(2, r + 1)]
+        values = [-1 if v is None else v for v in values]
         best = max(values)
         m0 = values.index(best) + 1
         if k <= r - m0:

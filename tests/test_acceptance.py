@@ -80,18 +80,17 @@ def test_criterion_3_star_sandwich():
             statuses.append((n, "inconclusive"))
             continue
         lhs = brute_force_ex(SearchProblem(n - 1, (c5,), Objective.exstar(2)),
-                             budget_seconds=remaining)
+                             budget_seconds=remaining, bounded=True)
         remaining = deadline - time.monotonic()
         rhs = brute_force_ex(SearchProblem(n, forb, Objective.copies(K3)),
-                             budget_seconds=max(remaining, 0.01))
+                             budget_seconds=max(remaining, 0.01), bounded=True)
         if lhs.exhaustive and rhs.exhaustive:
             assert lhs.value <= rhs.value, (n, lhs.value, rhs.value)
             statuses.append((n, "pass"))
         else:
             statuses.append((n, "inconclusive"))
     resolved = dict(statuses)
-    assert resolved[7] == "pass" and resolved[8] == "pass"
-    assert resolved[9] in ("pass", "inconclusive")
+    assert resolved == {7: "pass", 8: "pass", 9: "pass"}
     _report("3 star-sandwich", f"(n=7..9: {statuses})")
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import time
+
 import pytest
 
 from genturan.cli import main
@@ -161,6 +164,24 @@ def test_verify_check_pass_exit_zero(capsys, tmp_path):
     assert code == 0
     assert "[PASS] prop6.1" in out
     assert csv_path.read_text().startswith("check_id,n,params")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_budget_bounds_the_whole_run(capsys, tmp_path, workers):
+    # --budget-seconds is one deadline for the whole run, pool workers
+    # included, not one per search: a 1 s budget over n = 5..10 ends within
+    # a 5 s slack, and the searches it cuts short give inconclusive rows,
+    # never fail.
+    csv_path = tmp_path / "report.csv"
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "verify", "all", "--n-range", "5..10",
+                           "--budget-seconds", "1", "--workers", workers,
+                           "--csv", str(csv_path))
+    assert time.monotonic() - start < 1 + 5
+    with open(csv_path, newline="") as fh:
+        verdicts = [row["verdict"] for row in csv.DictReader(fh)]
+    assert code == 0 and "fail" not in verdicts
+    assert "inconclusive" in verdicts
 
 
 def test_verify_unknown_check_usage_error(capsys):

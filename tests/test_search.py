@@ -599,7 +599,7 @@ def test_clique_bound_covers_every_descendant():
     for problems in groups.values():
         n, forbidden = problems[0].n, problems[0].forbidden
         objectives = [p.objective for p in problems]
-        coefs = [search._clique_coefficients(p, cap) for p in problems]
+        coefs = [search._clique_coefficients(p) for p in problems]
 
         def hook(g, chain, blocked):
             if g.n == 0:
@@ -630,31 +630,64 @@ def test_clique_bound_covers_every_descendant():
 
 
 def test_capped_bounded_search_starts_no_helper_search(monkeypatch):
-    # A budget, a host cap or a shard leave the bounded search as it was: one
-    # search, no seed and no clique-term bound, the same maximum.
+    # A budget, a host cap or a shard leave out the seed, so a capped
+    # bounded search is one search, with the full search's maximum.  Its
+    # clique-term bound needs no helper search and stays on: each capped
+    # search builds fewer attachment tables than with the bound switched off.
     problem = SearchProblem(7, (copies(2, K3),), Objective.edges())
     calls = []
+    tables = []
     real = search.brute_force_ex
+    increment = Objective.increment
 
     def counted(problem, **kwargs):
         calls.append(problem.n)
         return real(problem, **kwargs)
 
     monkeypatch.setattr(search, "brute_force_ex", counted)
+    monkeypatch.setattr(Objective, "increment",
+                        lambda self, g: tables.append(g) or increment(self, g))
     search.clear_cache()
     full = real(problem)
-    for kwargs in ({"budget_seconds": 1e9}, {"max_explored": 10 ** 9}):
+    expected = (full.value, full.num_extremal, full.witnesses)
+    parts = []
+    for kwargs in ({"budget_seconds": 1e9}, {"max_explored": 10 ** 9},
+                   {"shard": (0, 2)}, {"shard": (1, 2)}):
         calls.clear()
+        tables.clear()
         r = search.brute_force_ex(problem, bounded=True, **kwargs)
         assert calls == [7] and r.exhaustive
-        assert (r.value, r.num_extremal, r.witnesses) == \
-            (full.value, full.num_extremal, full.witnesses)
-    calls.clear()
-    parts = [search.brute_force_ex(problem, bounded=True, shard=(i, 2))
-             for i in range(2)]
-    assert calls == [7, 7]
-    assert merge(parts).value == full.value
+        with_bound = len(tables)
+        tables.clear()
+        with monkeypatch.context() as m:
+            m.setattr(search, "_clique_coefficients", lambda problem: None)
+            plain = search.brute_force_ex(problem, bounded=True, **kwargs)
+        assert with_bound < len(tables), kwargs
+        got = (r.value, r.num_extremal, r.witnesses)
+        assert got == (plain.value, plain.num_extremal, plain.witnesses)
+        if "shard" in kwargs:
+            parts.append(r)
+        else:
+            assert got == expected
+    merged = merge(parts)
+    assert (merged.value, merged.num_extremal, merged.witnesses) == expected
     assert len(search._cache) == 1
+
+
+@pytest.mark.parametrize("forbidden", [copies(2, K3), copies(2, cycle(4))],
+                         ids=["2K3", "2C4"])
+def test_bounded_shards_merge_to_the_unsharded_result(forbidden):
+    # Each shard's clique-term bound runs from its shard level down, so a
+    # graph above that level is never dropped and every shard deals the
+    # same graphs: the shards still partition the hosts.
+    problem = SearchProblem(6, (forbidden,), Objective.copies(K3))
+    search.clear_cache()
+    full = brute_force_ex(problem)
+    for parts in (3, 5):
+        merged = merge([brute_force_ex(problem, bounded=True, shard=(i, parts))
+                        for i in range(parts)])
+        assert (merged.value, merged.num_extremal, merged.witnesses) == \
+            (full.value, full.num_extremal, full.witnesses), parts
 
 
 @pytest.mark.parametrize("n", [9, 10])
