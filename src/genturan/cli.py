@@ -233,15 +233,13 @@ def _cmd_search(args) -> int:
     _check_n_cap(args)
     forbidden = tuple(_read_family(args.forbid)) if args.forbid else ()
     problem = SearchProblem(args.n, forbidden, _build_objective(args))
-    # One budget for the whole run: each shard gets what the earlier ones left.
+    # One budget for the whole run: one deadline, and the hosts left over.
     seconds, left = args.budget_seconds, args.max_explored
     deadline = None if seconds is None else time.monotonic() + seconds
     results = []
     for i in range(args.shards):
-        if deadline is not None:
-            seconds = max(0.0, deadline - time.monotonic())
         results.append(brute_force_ex(problem, witness_cap=args.witness_cap,
-                                      budget_seconds=seconds, max_explored=left,
+                                      deadline=deadline, max_explored=left,
                                       shard=(i, args.shards)))
         if left is not None:
             left -= results[-1].explored
@@ -277,7 +275,7 @@ def _keep_every_child(g: Graph, token, blocked) -> tuple[None, None]:
 
 def _cmd_verify(args) -> int:
     settings = _settings(args)
-    # One deadline for the whole run, every search getting the time left.
+    # One deadline for the whole run: every search stops at it.
     seconds = settings.get("budget-seconds")
     cfg = VerifyConfig(witness_cap=settings.get("witness-cap", DEFAULT_WITNESS_CAP),
                        deadline=None if seconds is None else time.monotonic() + seconds,

@@ -29,10 +29,11 @@ value known so far: at the last level, every child whose value is below it,
 before the child is built; and, when every term counts cliques, every graph
 whose clique-term bound, taken from its allowed neighbour sets and from the
 binomials C(p, j) that cap the j-cliques of any p-vertex graph, is below it,
-at every level.  An uncapped bounded search also seeds the incumbent, before
-the walk, from the (n-1) problem's witnesses, each joined to a new vertex.
-The maximum, the extremal count and the witnesses are those of the full
-walk, but only the hosts that can still reach the incumbent are evaluated.
+at every level.  A bounded search with no host cap and no shard seeds the
+incumbent from the (n-1) problem's witnesses, each joined to a new vertex;
+a deadline changes only when a search stops.  The maximum, the extremal
+count and the witnesses are those of the full walk, but only the hosts that
+can still reach the incumbent are evaluated.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from math import comb
+from math import comb, isnan
 
 from .graphs import (Graph, VerificationError, add_vertex, canonical_cert,
                      canonical_graph, enumerate_graphs)
@@ -305,17 +306,19 @@ def _clique_gain(coef: list[int], adj: tuple[int, ...],
                 for q, c in enumerate(coef) if c])
 
 
-def _seed(problem: SearchProblem, witness_cap: int) -> int | None:
-    """A lower bound on the maximum, from the (n-1)-vertex problem's
-    extremal witnesses: each witness w plus a new vertex joined to the
-    allowed set s with the largest gain is a family-free n-vertex host of
-    value value(w) + gain(increment(w), s).  Each such host is built and
-    re-checked (freeness and a from-scratch value), a mismatch raising
-    `VerificationError`.  None when n = 0 or no witness has an allowed set."""
-    if problem.n == 0:
+def _seed(problem: SearchProblem, witness_cap: int,
+          deadline: float | None) -> tuple[int, str] | None:
+    """A lower bound on the maximum and a host attaining it (canonical
+    graph6), from the witnesses of the (n-1) search, run under `deadline`:
+    each witness w plus a new vertex joined to the allowed set s with the
+    largest gain is a family-free host of value value(w) + gain(increment(w),
+    s), built and re-checked (freeness and a from-scratch value), a mismatch
+    raising `VerificationError`.  None when n = 0, the deadline has passed
+    or no witness has an allowed set."""
+    if problem.n == 0 or (deadline is not None and time.monotonic() > deadline):
         return None
-    prev = brute_force_ex(replace(problem, n=problem.n - 1),
-                          witness_cap=witness_cap, bounded=True)
+    prev = brute_force_ex(replace(problem, n=problem.n - 1), witness_cap=witness_cap,
+                          deadline=deadline, bounded=True)
     objective = problem.objective
     prune = FreenessPrune(problem.forbidden, problem.n)
     seed = None
@@ -333,29 +336,29 @@ def _seed(problem: SearchProblem, witness_cap: int) -> int | None:
             raise VerificationError(
                 f"seed host {encode_graph6(host)} is not a family-free host "
                 f"of value {value}")
-        if seed is None or value > seed:
-            seed = value
-    return seed
+        if seed is None or value > seed[0]:
+            seed = (value, host)
+    return None if seed is None else (seed[0], encode_graph6(canonical_graph(seed[1])))
 
 
 def brute_force_ex(problem: SearchProblem, *,
                    witness_cap: int = DEFAULT_WITNESS_CAP,
-                   budget_seconds: float | None = None,
+                   deadline: float | None = None,
                    max_explored: int | None = None,
                    bounded: bool = False,
                    shard: tuple[int, int] | None = None) -> ExtremalResult:
     """Exact maximum of the objective over all family-free n-vertex graphs.
 
-    Every value is carried down the walk: each graph below level n gets the
-    attachment table of its objective (`Objective.increment`), and a child's
-    value is its parent's plus the table's gain at the child's new vertex;
-    only the 0-vertex graph is counted from scratch.  A host's witness label
+    Values are carried down the walk (`Objective.increment`, `gain`); only
+    the 0-vertex graph is counted from scratch, and a host's witness label
     is the certificate its acceptance test computed.
 
-    Exceeding `budget_seconds` or `max_explored` stops the search and returns
-    the best value seen with exhaustive=False.  The deadline is checked
-    between hosts and once per graph below level n, so a walk that yields
-    nothing for a while still stops.
+    Passing `deadline`, a `time.monotonic()` instant, or exceeding
+    `max_explored` stops the search and returns the best value seen with
+    exhaustive=False.  The deadline is checked between hosts and once per
+    graph below level n, so a walk that yields nothing for a while still
+    stops.  It changes nothing else: a search under a deadline is cached
+    and seeded like one without, and its exhaustive result is the same.
 
     `shard=(i, parts)` walks shard i of `parts`: the graphs at level
     min(n-1, 5) (the one host when n = 0) are dealt round-robin in walk
@@ -375,23 +378,23 @@ def brute_force_ex(problem: SearchProblem, *,
       graph's attachment table is built.  The bound is first taken over all
       of the graph, then over its allowed sets, so a graph dropped by the
       first never has its blocked sets found.  A shard applies it only from
-      its shard level down, so that every shard deals the same graphs;
-    - when the search is uncapped (no budget, no `max_explored`, no
-      shard), the incumbent starts at `_seed`, from the (n-1) problem's
-      witnesses, before the first host.
-    The seed comes from the (n-1) bounded search, run before the walk; a
-    capped search starts none.  The incumbent never exceeds the final
-    maximum, so every extremal class is still produced exactly once:
-    `value`, `num_extremal`, `witnesses` and `exhaustive` are those of the
-    full search and come from evaluated hosts, while `explored` counts only
-    the hosts evaluated.  Full searches keep `explored` equal to the class
-    count, which shard merges and the `search` result line report."""
+      its shard level down, so that every shard deals the same graphs.
+    Unless `max_explored` or a shard caps the search, the incumbent starts
+    at `_seed`, whose (n-1) search ends early only once the deadline has
+    passed, and then this walk stops at its first graph.  A walk cut short
+    before any host reaches the seed reports the seed's host.  The
+    incumbent never exceeds the final maximum, so every extremal class is
+    still produced exactly once: `value`, `num_extremal`, `witnesses` and
+    `exhaustive` are those of the full search and come from evaluated
+    hosts, while `explored` counts only the hosts evaluated.  Full searches
+    keep `explored` equal to the class count, which shard merges and the
+    `search` result line report."""
     if witness_cap < 1:
         raise ValueError(f"witness_cap must be >= 1, got {witness_cap}")
     if max_explored is not None and max_explored < 0:
         raise ValueError(f"max_explored must be >= 0, got {max_explored}")
-    if budget_seconds is not None and not budget_seconds >= 0:
-        raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
+    if deadline is not None and isnan(deadline):
+        raise ValueError(f"deadline must be a number, got {deadline}")
     # The clique-term bound drops graphs from this level down.
     lowest = 1
     if shard is not None:
@@ -402,7 +405,7 @@ def brute_force_ex(problem: SearchProblem, *,
         depth = max(0, min(problem.n - 1, 5))
         positions = itertools.count()
         lowest = max(1, depth)
-    cacheable = budget_seconds is None and max_explored is None and shard is None
+    cacheable = max_explored is None and shard is None
     if cacheable:
         key = _problem_cache_key(problem, witness_cap, bounded)
         hit = _cache.get(key)
@@ -411,12 +414,11 @@ def brute_force_ex(problem: SearchProblem, *,
 
     forbidden = problem.forbidden
     objective = problem.objective
-    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     # `best` is the incumbent the bounds compare with; `top` the best value
     # of an evaluated host.
-    best = _seed(problem, witness_cap) if bounded and cacheable else None
+    seed = _seed(problem, witness_cap, deadline) if bounded and cacheable else None
+    best = None if seed is None else seed[0]
     coefs = _clique_coefficients(problem) if bounded else None
-    seed = best
     last = problem.n - 1
 
     # Called once for every graph the walk reaches, in walk order: whether g
@@ -485,7 +487,9 @@ def brute_force_ex(problem: SearchProblem, *,
     except _OutOfTime:
         exhaustive = False
     if seed is not None and top is None:
-        raise VerificationError(f"no host reaches the seed {seed}")
+        if exhaustive:
+            raise VerificationError(f"no host reaches the seed {seed[0]}")
+        top, witnesses, num_extremal = seed[0], [seed[1]], 1
     # Post-search re-verification, independent of the enumerator's
     # incremental prune: every witness must decode to a family-free graph
     # attaining the reported value.

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import time
 from dataclasses import dataclass, field
 from math import comb
 
@@ -52,8 +51,8 @@ REPORTED = "reported"
 @dataclass(frozen=True)
 class VerifyConfig:
     """Search settings of one run.  `deadline` is a `time.monotonic()`
-    instant that bounds the whole run: every search gets the time left, and
-    pool workers read the same clock."""
+    instant that bounds the whole run: every search stops at it, and pool
+    workers read the same clock."""
 
     witness_cap: int = DEFAULT_WITNESS_CAP
     deadline: float | None = None
@@ -105,11 +104,8 @@ def _graph_param(params: dict, key: str) -> Graph:
 
 def _brute(n: int, forbidden: tuple[Graph, ...], objective: Objective,
            cfg: VerifyConfig) -> ExtremalResult:
-    problem = SearchProblem(n, forbidden, objective)
-    seconds = None if cfg.deadline is None else max(0.0, cfg.deadline - time.monotonic())
-    return brute_force_ex(problem, witness_cap=cfg.witness_cap,
-                          budget_seconds=seconds,
-                          max_explored=cfg.max_explored, bounded=True)
+    return brute_force_ex(SearchProblem(n, forbidden, objective), witness_cap=cfg.witness_cap,
+                          deadline=cfg.deadline, max_explored=cfg.max_explored, bounded=True)
 
 
 def _verdict(ok: bool, certified: bool) -> str:

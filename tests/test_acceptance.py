@@ -26,7 +26,7 @@ from genturan.packing import (canonical_partition, is_kF_free,
                               max_packing_size)
 from genturan import search
 from genturan.search import Objective, SearchProblem, brute_force_ex, merge
-from genturan.verify import run_check
+from genturan.verify import VerifyConfig, report_csv, run_all, run_check
 
 from conftest import (naive_count_copies, naive_max_packing, package_env,
                       random_graph)
@@ -75,15 +75,10 @@ def test_criterion_3_star_sandwich():
     deadline = time.monotonic() + 600
     statuses = []
     for n in (7, 8, 9):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            statuses.append((n, "inconclusive"))
-            continue
         lhs = brute_force_ex(SearchProblem(n - 1, (c5,), Objective.exstar(2)),
-                             budget_seconds=remaining, bounded=True)
-        remaining = deadline - time.monotonic()
+                             deadline=deadline, bounded=True)
         rhs = brute_force_ex(SearchProblem(n, forb, Objective.copies(K3)),
-                             budget_seconds=max(remaining, 0.01), bounded=True)
+                             deadline=deadline, bounded=True)
         if lhs.exhaustive and rhs.exhaustive:
             assert lhs.value <= rhs.value, (n, lhs.value, rhs.value)
             statuses.append((n, "pass"))
@@ -242,3 +237,15 @@ def test_criterion_9_determinism(tmp_path):
     assert merged.num_extremal == full.num_extremal
     assert merged.explored == full.explored
     _report("9 determinism", "(byte-identical CSVs; 4-shard merge exact)")
+
+
+def test_budgeted_verify_all_matches_unbudgeted():
+    """A far deadline changes neither the CSV nor the searches behind it."""
+    keys = []
+    for deadline in (None, time.monotonic() + 600):
+        search.clear_cache()
+        text = report_csv(run_all(VerifyConfig(deadline=deadline)))
+        assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SHA256
+        keys.append(set(search._cache))
+    # Budgeted searches read and write the cache and take the seed.
+    assert keys[0] == keys[1] and len(keys[1]) == 188

@@ -6,9 +6,11 @@ import itertools
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
@@ -270,11 +272,12 @@ def test_witness_cap_below_one_rejected(cap):
         merge([brute_force_ex(problem)], witness_cap=cap)
 
 
-@pytest.mark.parametrize("budget", [dict(max_explored=-1), dict(budget_seconds=-1),
-                                    dict(budget_seconds=float("nan"))])
+@pytest.mark.parametrize("budget", [dict(max_explored=-1), dict(deadline=float("nan"))])
 def test_negative_budget_rejected(budget):
+    # A deadline already passed is legal: the search stops at once.
     problem = SearchProblem(5, (K3,), Objective.edges())
-    with pytest.raises(ValueError, match="must be >= 0"):
+    match = "deadline must be a number" if "deadline" in budget else "must be >= 0"
+    with pytest.raises(ValueError, match=match):
         brute_force_ex(problem, **budget)
 
 
@@ -625,15 +628,16 @@ def test_clique_bound_covers_every_descendant():
                         (serialize_problem(p), adj, host.adj)
             maxima = [v if m is None else max(m, v) for m, v in zip(maxima, values)]
         for p, top in zip(problems, maxima):
-            seed = search._seed(p, cap)
+            seed, _ = search._seed(p, cap, None) or (None, None)
             assert seed is None or seed <= top, serialize_problem(p)
 
 
 def test_capped_bounded_search_starts_no_helper_search(monkeypatch):
-    # A budget, a host cap or a shard leave out the seed, so a capped
-    # bounded search is one search, with the full search's maximum.  Its
-    # clique-term bound needs no helper search and stays on: each capped
-    # search builds fewer attachment tables than with the bound switched off.
+    # A host cap or a shard leaves out the seed, so a capped bounded search
+    # is one search, with the full search's maximum.  Its clique-term bound
+    # needs no helper search and stays on: each capped search builds fewer
+    # attachment tables than with the bound switched off.  A deadline is no
+    # cap (`test_deadline_leaves_the_search_unchanged`).
     problem = SearchProblem(7, (copies(2, K3),), Objective.edges())
     calls = []
     tables = []
@@ -651,8 +655,7 @@ def test_capped_bounded_search_starts_no_helper_search(monkeypatch):
     full = real(problem)
     expected = (full.value, full.num_extremal, full.witnesses)
     parts = []
-    for kwargs in ({"budget_seconds": 1e9}, {"max_explored": 10 ** 9},
-                   {"shard": (0, 2)}, {"shard": (1, 2)}):
+    for kwargs in ({"max_explored": 10 ** 9}, {"shard": (0, 2)}, {"shard": (1, 2)}):
         calls.clear()
         tables.clear()
         r = search.brute_force_ex(problem, bounded=True, **kwargs)
@@ -672,6 +675,56 @@ def test_capped_bounded_search_starts_no_helper_search(monkeypatch):
     merged = merge(parts)
     assert (merged.value, merged.num_extremal, merged.witnesses) == expected
     assert len(search._cache) == 1
+
+
+def test_deadline_leaves_the_search_unchanged(monkeypatch):
+    # A deadline only decides when a search stops: from a cold cache, a
+    # bounded search under a far deadline makes the same nested (n-1 .. 0)
+    # seed searches as one without, gives the same result, `explored`
+    # included, and caches it, so a repeat under a deadline walks nothing.
+    problem = SearchProblem(7, (copies(2, K3),), Objective.edges())
+    calls = []
+    walks = []
+    real = search.brute_force_ex
+    walk = search.enumerate_graphs
+
+    def counted(problem, **kwargs):
+        calls.append(problem.n)
+        return real(problem, **kwargs)
+
+    monkeypatch.setattr(search, "brute_force_ex", counted)
+    monkeypatch.setattr(search, "enumerate_graphs",
+                        lambda *args, **kwargs: walks.append(args[0]) or walk(*args, **kwargs))
+    results = []
+    for deadline in (None, time.monotonic() + 600):
+        search.clear_cache()
+        calls.clear()
+        results.append(search.brute_force_ex(problem, deadline=deadline, bounded=True))
+        assert calls == [7, 6, 5, 4, 3, 2, 1, 0], deadline
+    assert results[0] == results[1] and results[1].exhaustive
+    calls.clear()
+    walks.clear()
+    again = search.brute_force_ex(problem, deadline=time.monotonic() + 600, bounded=True)
+    assert again is results[1] and calls == [7] and walks == []
+
+
+def test_cut_short_search_reports_the_seed(monkeypatch):
+    # The (n-1) result is cached, so the clock is read once by the seed and
+    # once by the walk's first node; the deadline passes at the second node,
+    # before any host reaches the seed.  The walk is not exhaustive, so no
+    # VerificationError: the result is the seed's value and host.
+    problem = SearchProblem(7, (copies(2, K3),), Objective.edges())
+    search.clear_cache()
+    brute_force_ex(replace(problem, n=6), bounded=True)
+    value, host = search._seed(problem, search.DEFAULT_WITNESS_CAP, None)
+    clock = itertools.chain([0.0, 0.0], itertools.repeat(2.0))
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    r = brute_force_ex(problem, deadline=1.0, bounded=True)
+    assert (r.value, r.witnesses, r.num_extremal) == (value, (host,), 1)
+    assert not r.exhaustive and r.explored == 0
+    g = decode_graph6(host)
+    assert host == encode_graph6(canonical_graph(g))
+    assert g.edge_count() == value and is_family_free(g, problem.forbidden)
 
 
 @pytest.mark.parametrize("forbidden", [copies(2, K3), copies(2, cycle(4))],
@@ -794,10 +847,21 @@ def test_deadline_stops_the_walk_between_parents(monkeypatch, bounded):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(graph_module, "_children", counted)
+    searches = []
+    real_search = search.brute_force_ex
+
+    def counted_search(problem, **kwargs):
+        searches.append(problem.n)
+        return real_search(problem, **kwargs)
+
+    monkeypatch.setattr(search, "brute_force_ex", counted_search)
     problem = SearchProblem(9, (copies(2, K3),), Objective.edges())
-    r = brute_force_ex(problem, budget_seconds=0, bounded=bounded)
+    search.clear_cache()
+    r = search.brute_force_ex(problem, deadline=time.monotonic() - 1, bounded=bounded)
     assert not r.exhaustive
     assert len(calls) <= problem.n
+    # Past its deadline a bounded search starts no (n-1) seed search.
+    assert searches == [9]
 
 
 @pytest.mark.parametrize("call,match", [
