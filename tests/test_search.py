@@ -272,11 +272,15 @@ def test_witness_cap_below_one_rejected(cap):
         merge([brute_force_ex(problem)], witness_cap=cap)
 
 
-@pytest.mark.parametrize("budget", [dict(max_explored=-1), dict(deadline=float("nan"))])
+@pytest.mark.parametrize("budget", [dict(max_explored=-1),
+                                    dict(max_explored=-1, deadline=0.0),
+                                    dict(deadline=float("nan"))])
 def test_negative_budget_rejected(budget):
-    # A deadline already passed is legal: the search stops at once.
+    # A deadline already passed is legal (the search stops at once), but it
+    # does not excuse a negative max_explored.
     problem = SearchProblem(5, (K3,), Objective.edges())
-    match = "deadline must be a number" if "deadline" in budget else "must be >= 0"
+    match = ("max_explored must be >= 0" if "max_explored" in budget
+             else "deadline must be a number")
     with pytest.raises(ValueError, match=match):
         brute_force_ex(problem, **budget)
 
