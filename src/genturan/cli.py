@@ -17,7 +17,9 @@ import time
 from . import constructions as cons
 from .counting import count_copies, is_family_free
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
-from .graphs import Graph, canonical_graph, enumerate_graphs
+# canonical_graph is not called here; it stays importable from this
+# module, where the benchmark's spans wrap it.
+from .graphs import Graph, _keep_all, canonical_graph, enumerate_graphs
 from .gspec import SpecError, parse_spec, parse_spec_list
 from .packing import canonical_partition, max_disjoint_packing
 from .search import (DEFAULT_WITNESS_CAP, Objective, SearchProblem,
@@ -130,49 +132,34 @@ def _settings(args) -> dict:
     return out
 
 
-def _need(args, *names) -> list[int]:
-    out = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            raise UsageError(f"construction {args.name!r} needs --{name}")
-        out.append(value)
-    return out
+def _fstar(args) -> Graph:
+    f = _read_graph(args.f)
+    u = args.u if args.u is not None else cons.default_center_vertex(f)
+    return cons.f_star(f, u, args.k)
+
+
+# Each construction: the flags it needs, in the order they are asked for,
+# and its builder from the parsed arguments.
+CONSTRUCTIONS = {
+    "universal-join": (("k", "f"), lambda a: cons.universal_join(a.k, _read_graph(a.f))),
+    "thm32": (("n", "s", "t", "k"), lambda a: cons.thm32_lower(a.n, a.s, a.t, a.k)),
+    "thm35": (("n", "t", "k"), lambda a: cons.thm35_lower(a.n, a.t, a.k)),
+    "thm62": (("n", "k"), lambda a: cons.thm62_lower(a.n, a.k)),
+    "prop54": (("n", "s"), lambda a: cons.prop54_lower(a.n, a.s)),
+    "prop61": (("n",), lambda a: cons.prop61_host(a.n)),
+    "fstar": (("k", "f"), _fstar),
+}
 
 
 def _cmd_construct(args) -> int:
-    name = args.name
-    if name == "universal-join":
-        (k,) = _need(args, "k")
-        if not args.f:
-            raise UsageError("universal-join needs --f")
-        g = cons.universal_join(k, _read_graph(args.f))
-    elif name == "thm32":
-        n, s, t, k = _need(args, "n", "s", "t", "k")
-        g = cons.thm32_lower(n, s, t, k)
-    elif name == "thm35":
-        n, t, k = _need(args, "n", "t", "k")
-        g = cons.thm35_lower(n, t, k)
-    elif name == "thm62":
-        n, k = _need(args, "n", "k")
-        g = cons.thm62_lower(n, k)
-    elif name == "prop54":
-        n, s = _need(args, "n", "s")
-        g = cons.prop54_lower(n, s)
-    elif name == "prop61":
-        (n,) = _need(args, "n")
-        g = cons.prop61_host(n)
-    elif name == "fstar":
-        (k,) = _need(args, "k")
-        if not args.f:
-            raise UsageError("fstar needs --f")
-        f = _read_graph(args.f)
-        u = args.u if args.u is not None else cons.default_center_vertex(f)
-        g = cons.f_star(f, u, k)
-    else:
-        raise UsageError(f"unknown construction {name!r}; known: universal-join, "
-                         "thm32, thm35, thm62, prop54, prop61, fstar")
-    print(encode_graph6(g))
+    if args.name not in CONSTRUCTIONS:
+        raise UsageError(f"unknown construction {args.name!r}; "
+                         f"known: {', '.join(CONSTRUCTIONS)}")
+    flags, build = CONSTRUCTIONS[args.name]
+    for flag in flags:
+        if getattr(args, flag) in (None, ""):
+            raise UsageError(f"construction {args.name!r} needs --{flag}")
+    print(encode_graph6(build(args)))
     return 0
 
 
@@ -253,11 +240,9 @@ def _cmd_enumerate(args) -> int:
     forbidden = tuple(_read_family(args.forbid)) if args.forbid else ()
     count = 0
     if args.canonical:
-        # The walk hands out the certificate each graph's acceptance test
-        # computed; only the 0-vertex graph (n = 0) has none.
-        stream = enumerate_graphs(args.n, forbidden, _node_hook=_keep_every_child)
-        graphs = (canonical_graph(g) if cert is None else Graph._make(g.n, cert)
-                  for g, _, cert in stream)
+        # The walk hands out each graph's canonical certificate.
+        stream = enumerate_graphs(args.n, forbidden, _node_hook=_keep_all)
+        graphs = (Graph._make(g.n, cert) for g, _, cert in stream)
     else:
         graphs = enumerate_graphs(args.n, forbidden)
     for g in graphs:
@@ -267,10 +252,6 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(count)
     return 0
-
-
-def _keep_every_child(g: Graph, token, blocked) -> tuple[None, None]:
-    return None, None
 
 
 def _cmd_verify(args) -> int:
@@ -313,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a named construction as graph6")
-    p.add_argument("name", help="universal-join | thm32 | thm35 | thm62 | "
-                                "prop54 | prop61 | fstar")
+    p.add_argument("name", help=" | ".join(CONSTRUCTIONS))
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)

@@ -582,23 +582,26 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
     generators; below it, every graph carries the generators its acceptance
     test found.
 
-    `_node_hook`, when given, is called with every graph below level n, in
-    walk order, before its children are looked for, with the token its
-    parent's call returned (None for the 0-vertex graph) and with a function
-    of no arguments that returns the graph's blocked sets.  Those are found on the first
-    call and shared with `_children`, so each graph's are found at most
-    once, and never for a graph the hook skips without asking.  The hook
-    returns a pair (keep, token).  `keep` is None to keep every child, False
-    to skip the graph (no subset tried), or a predicate on the new vertex's
-    neighbour mask that a child must pass (see `_children`).  The predicate
-    must hold for all of an Aut(parent) orbit of masks or for none of it,
-    and may only grow stricter while the parent's children are walked.  An
-    exception the hook raises ends the walk.  With a hook the walk yields
-    triples (graph, token, cert): the token the graph's parent's call
-    returned and the graph's canonical certificate, which its acceptance
-    test computed (both None for the 0-vertex graph when n = 0).  Extremal
-    searches use it to carry values down the walk, for their incumbent
-    bounds, for their deadline and for their shards.
+    `_node_hook` is called with every graph below level n, in walk order,
+    before its children are looked for, with the token its parent's call
+    returned (None for the 0-vertex graph) and with a function of no
+    arguments that returns the graph's blocked sets.  Those are found on the
+    first call and shared with `_children`, so each graph's are found at
+    most once, and never for a graph the hook skips without asking.  The
+    hook returns a pair (keep, token).  `keep` is None to keep every child,
+    False to skip the graph (no subset tried), or a predicate on the new
+    vertex's neighbour mask that a child must pass (see `_children`).  The
+    predicate must hold for all of an Aut(parent) orbit of masks or for none
+    of it, and may only grow stricter while the parent's children are
+    walked.  An exception the hook raises ends the walk.  With no hook,
+    every child is kept (`_keep_all`) and the walk yields the graphs alone.
+    With a hook it yields triples (graph, token, cert): the token the
+    graph's parent's call returned and the graph's canonical certificate,
+    which its acceptance test computed.  When n = 0 the one host is the
+    0-vertex graph, with token None and certificate (), its
+    `canonical_cert`.  Extremal searches use the hook to carry values down
+    the walk, for their incumbent bounds, for their deadline and for their
+    shards.
 
     Arguments are checked when this is called, before the first `next`.
     """
@@ -606,38 +609,41 @@ def enumerate_graphs(n: int, forbidden: Sequence[Graph] = (),
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     # packing and counting build on this module
     from .packing import FreenessPrune
-    leaves = _walk(n, FreenessPrune(forbidden, n), _node_hook)
+    leaves = _walk(n, FreenessPrune(forbidden, n), _node_hook or _keep_all)
     if _node_hook is None:
         return (g for g, _, _ in leaves)
     return leaves
 
 
 def _walk(n: int, prune, hook) -> Iterator[tuple]:
-    from .counting import is_family_free
-    g = empty_graph(0)
-    if not is_family_free(g, prune.members):
+    # A member with no vertex is in every graph, the 0-vertex one included.
+    if any(f.n == 0 for f in prune.members):
         return
+    g = empty_graph(0)
     if n == 0:
-        yield g, None, None
+        yield g, None, ()
     else:
         yield from _descend(g, [], n, prune, hook, None)
 
 
+def _keep_all(g: Graph, token, blocked) -> tuple[None, None]:
+    """The node hook that keeps every child and carries no token."""
+    return None, None
+
+
 def _descend(g: Graph, gens: list[tuple[int, ...]], n: int, prune, hook,
              token) -> Iterator[tuple]:
-    keep = None
     found: list[list[int]] = []
-    if hook is not None:
-        def blocked() -> list[int]:
-            if not found:
-                found.append(prune.blocked(g))
-            return found[0]
 
-        keep, token = hook(g, token, blocked)
-        if keep is False:
-            return
-    blocked_sets = found[0] if found else prune.blocked(g)
-    for child, child_gens, cert in _children(g, gens, blocked_sets, keep):
+    def blocked() -> list[int]:
+        if not found:
+            found.append(prune.blocked(g))
+        return found[0]
+
+    keep, token = hook(g, token, blocked)
+    if keep is False:
+        return
+    for child, child_gens, cert in _children(g, gens, blocked(), keep):
         if child.n == n:
             yield child, token, cert
         else:

@@ -171,12 +171,7 @@ def is_kF_free(g: Graph, k: int, f: Graph) -> bool:
     """True when g has no k pairwise vertex-disjoint copies of f."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if f.n * k > g.n:
-        return True
-    masks = copy_vertex_sets(g, f)
-    if len(masks) < k:
-        return True
-    return _max_packing_size(masks, (1 << g.n) - 1, f.n, stop_at=k) < k
+    return f.n * k > g.n or not _packable(copy_vertex_sets(g, f), (1 << g.n) - 1, f.n, k)
 
 
 def canonical_partition(g: Graph, f: Graph) -> CanonicalPartition:

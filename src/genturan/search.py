@@ -196,17 +196,13 @@ def _problem_key(problem: SearchProblem) -> tuple:
     return (problem.n, _family_key(problem.forbidden), tuple(terms))
 
 
-def _problem_cache_key(problem: SearchProblem, witness_cap: int,
-                       bounded: bool) -> tuple:
-    return _problem_key(problem) + (witness_cap, bounded)
-
-
 def clear_cache() -> None:
     _cache.clear()
 
 
-class _OutOfTime(Exception):
-    """Raised by the walk's node hook once the deadline has passed."""
+class _Stop(Exception):
+    """Ends a search's walk: the deadline has passed, or `max_explored`
+    hosts have been evaluated."""
 
 
 def _value(objective: Objective, g: Graph, token) -> int:
@@ -353,12 +349,14 @@ def brute_force_ex(problem: SearchProblem, *,
     the 0-vertex graph is counted from scratch, and a host's witness label
     is the certificate its acceptance test computed.
 
-    Passing `deadline`, a `time.monotonic()` instant, or exceeding
-    `max_explored` stops the search and returns the best value seen with
-    exhaustive=False.  The deadline is checked between hosts and once per
-    graph below level n, so a walk that yields nothing for a while still
-    stops.  It changes nothing else: a search under a deadline is cached
-    and seeded like one without, and its exhaustive result is the same.
+    A `deadline`, a `time.monotonic()` instant, and a host cap
+    `max_explored` stop the search one way: each raises `_Stop`, which ends
+    the walk, and the search returns the best value seen with
+    exhaustive=False.  The cap is checked before each host is evaluated,
+    the deadline between hosts and once per graph below level n, so a walk
+    that yields nothing for a while still stops.  The deadline changes
+    nothing else: a search under a deadline is cached and seeded like one
+    without, and its exhaustive result is the same.
 
     `shard=(i, parts)` walks shard i of `parts`: the graphs at level
     min(n-1, 5) (the one host when n = 0) are dealt round-robin in walk
@@ -405,10 +403,11 @@ def brute_force_ex(problem: SearchProblem, *,
         depth = max(0, min(problem.n - 1, 5))
         positions = itertools.count()
         lowest = max(1, depth)
+    key = _problem_key(problem)
+    cache_key = key + (witness_cap, bounded)
     cacheable = max_explored is None and shard is None
     if cacheable:
-        key = _problem_cache_key(problem, witness_cap, bounded)
-        hit = _cache.get(key)
+        hit = _cache.get(cache_key)
         if hit is not None:
             return hit
 
@@ -426,9 +425,12 @@ def brute_force_ex(problem: SearchProblem, *,
     def elsewhere(g: Graph) -> bool:
         return g.n == depth and next(positions) % parts != index
 
-    def node_hook(g: Graph, token, blocked):
+    def stop_at_deadline() -> None:
         if deadline is not None and time.monotonic() > deadline:
-            raise _OutOfTime
+            raise _Stop
+
+    def node_hook(g: Graph, token, blocked):
+        stop_at_deadline()
         if shard is not None and elsewhere(g):
             return False, None
         value = _value(objective, g, token)
@@ -461,30 +463,25 @@ def brute_force_ex(problem: SearchProblem, *,
         for g, token, cert in stream:
             if shard is not None and elsewhere(g):
                 continue
-            if deadline is not None and time.monotonic() > deadline:
-                exhaustive = False
-                break
+            stop_at_deadline()
             if max_explored is not None and explored >= max_explored:
-                exhaustive = False
-                break
+                raise _Stop
             explored += 1
             value = _value(objective, g, token)
             if best is not None and value < best:
                 continue
-            # The acceptance test labelled every host but the 0-vertex one.
-            label = canonical_graph(g) if cert is None else Graph._make(g.n, cert)
+            w = encode_graph6(Graph._make(g.n, cert))
             if top is None or value > top:
                 top = best = value
-                witnesses = [encode_graph6(label)]
+                witnesses = [w]
                 num_extremal = 1
             else:
                 num_extremal += 1
-                w = encode_graph6(label)
                 if w not in witnesses:
                     witnesses.append(w)
                     witnesses.sort()
                     del witnesses[witness_cap:]
-    except _OutOfTime:
+    except _Stop:
         exhaustive = False
     if seed is not None and top is None:
         if exhaustive:
@@ -500,10 +497,9 @@ def brute_force_ex(problem: SearchProblem, *,
         if objective.evaluate(wg) != top:
             raise VerificationError(f"witness {w} misses the maximum {top}")
     result = ExtremalResult(problem.n, top, tuple(sorted(witnesses)),
-                            num_extremal, explored, exhaustive,
-                            _problem_key(problem))
+                            num_extremal, explored, exhaustive, key)
     if cacheable and exhaustive:
-        _cache[key] = result
+        _cache[cache_key] = result
         while len(_cache) > _CACHE_KEYS:
             del _cache[next(iter(_cache))]
     return result

@@ -22,6 +22,7 @@ be certified is inconclusive, never silently weakened.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 from math import comb
@@ -146,10 +147,12 @@ def _ratio_row(n: int, label: str, pairs: list[tuple[str, float]]) -> tuple:
     return n, RATIO, label, actual, REPORTED
 
 
-def _witness_graph(result: ExtremalResult) -> Graph | None:
+def _joined(k: int, result: ExtremalResult) -> Graph | None:
+    """k-1 universal vertices joined onto the search's least witness; None
+    when the search found no host, so that it has no witness."""
     if not result.witnesses:
         return None
-    return decode_graph6(result.witnesses[0])
+    return cons.universal_join(k, decode_graph6(result.witnesses[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +217,9 @@ def _run_thm21(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         if n - k + 1 < 1:
             continue
         inner = _brute(n - k + 1, (f,), Objective.exbar(h), cfg)
-        g_star = _witness_graph(inner)
-        if g_star is None or inner.value is None:
+        built = _joined(k, inner)
+        if built is None:
             continue
-        built = cons.universal_join(k, g_star)
         yield _free_row(n, is_kF_free(built, k, f), f"{k}F")
         built_count = count_copies(built, h)
         yield _floor_row(n, built_count, inner.value - 1, inner.exhaustive)
@@ -252,9 +254,8 @@ def _run_thm22(cid: str, p: dict, ns: range, cfg: VerifyConfig):
             yield _oracle_row(n, oracle, best_single)
         if n >= 2:
             pair = _brute(n - 1, (f1, f2), Objective.edges(), cfg)
-            g0 = _witness_graph(pair)
-            if g0 is not None and pair.value is not None:
-                built = cons.universal_join(2, g0)
+            built = _joined(2, pair)
+            if built is not None:
                 yield _free_row(n, is_free(built, f), "union")
                 built_count = count_copies(built, k3)
                 yield _floor_row(n, built_count, pair.value, pair.exhaustive)
@@ -310,10 +311,9 @@ def _run_thm27(cid: str, p: dict, ns: range, cfg: VerifyConfig):
         if k <= r - m0:
             continue  # the construction needs k > r - m0
         inner = _brute(n - (r - m0), (f,), Objective.copies(complete(m0)), cfg)
-        g_star = _witness_graph(inner)
-        if g_star is None or inner.value is None:
+        built = _joined(r - m0 + 1, inner)
+        if built is None:
             continue
-        built = cons.universal_join(r - m0 + 1, g_star)
         yield _free_row(n, is_kF_free(built, k, f), f"{k}F")
         built_count = count_copies(built, complete(r))
         yield _floor_row(n, built_count, inner.value, inner.exhaustive)
@@ -406,9 +406,8 @@ def _run_cycles(cid: str, p: dict, ns: range, cfg: VerifyConfig):
             continue
         if odd and r <= k and n - k + 1 >= 1:
             inner = _brute(n - k + 1, (cyc,), Objective.copies(complete(r)), cfg)
-            g_star = _witness_graph(inner)
-            if g_star is not None:
-                built = cons.universal_join(k, g_star)
+            built = _joined(k, inner)
+            if built is not None:
                 yield _free_row(n, is_kF_free(built, k, cyc), f"{k}C{length}")
                 yield _oracle_row(n, oracle, count_copies(built, complete(r)))
         yield _ratio_row(n, f"O(n^{exponent:.2f})",
@@ -448,11 +447,9 @@ def _run_prop53(cid: str, p: dict, ns: range, cfg: VerifyConfig):
     for n in ns:
         if n - k + 1 < b:
             continue
-        host = _brute(n - k + 1, (kst,), Objective.edges(), cfg)
-        g_star = _witness_graph(host)
-        if g_star is None:
+        built = _joined(k, _brute(n - k + 1, (kst,), Objective.edges(), cfg))
+        if built is None:
             continue
-        built = cons.universal_join(k, g_star)
         yield _free_row(n, is_kF_free(built, k, kst), f"{k}K{s},{t}")
         built_count = count_copies(built, pattern)
         yield _floor_row(n, built_count, comb(k - 1, a) * comb(n - k + 1, b))
@@ -656,27 +653,21 @@ def run_check(check_id: str, params: dict | None = None,
     return TheoremCheck(resolved, merged, rng, rows)
 
 
-def _run_check_task(args: tuple) -> TheoremCheck:
-    cid, n_range, config = args
-    return run_check(cid, None, n_range, config)
-
-
 def run_all(config: VerifyConfig | None = None,
             n_range: tuple[int, int] | None = None,
-            ids: list[str] | None = None,
             workers: int = 1) -> list[TheoremCheck]:
-    """Run every registered check (or the given ids) in sorted id order.
+    """Run every registered check with its default parameters, in sorted id
+    order, over `n_range` (each check's default range when None).
 
-    With workers > 1 checks run in separate processes; results are reordered
-    by id, so the report is identical regardless of scheduling."""
-    todo = list(ids if ids is not None else registry_ids())
-    if workers > 1 and len(todo) > 1:
+    With workers > 1 the checks run in a pool of that many processes, each
+    one `run_check` call; the pool hands the results back in id order, so
+    the report is the same whatever the scheduling."""
+    check = functools.partial(run_check, n_range=n_range, config=config)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_check_task,
-                                 [(cid, n_range, config) for cid in todo]))
-        return done
-    return [run_check(cid, None, n_range, config) for cid in todo]
+            return list(pool.map(check, registry_ids()))
+    return [check(cid) for cid in registry_ids()]
 
 
 # ---------------------------------------------------------------------------

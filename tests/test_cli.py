@@ -60,6 +60,40 @@ def test_construct_missing_flag_usage_error(capsys):
     assert code == 2 and "needs --k" in err
 
 
+# Every construction with the flags it needs.
+CONSTRUCTION_FLAGS = {
+    "universal-join": {"k": "2", "f": "C5"},
+    "thm32": {"n": "10", "s": "3", "t": "3", "k": "2"},
+    "thm35": {"n": "10", "t": "3", "k": "2"},
+    "thm62": {"n": "9", "k": "2"},
+    "prop54": {"n": "9", "s": "3"},
+    "prop61": {"n": "8"},
+    "fstar": {"k": "2", "f": "K3"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_FLAGS))
+def test_construct_names_each_missing_flag(capsys, name):
+    flags = CONSTRUCTION_FLAGS[name]
+    argv = [arg for flag, value in flags.items() for arg in (f"--{flag}", value)]
+    code, out, _ = run_cli(capsys, "construct", name, *argv)
+    assert code == 0 and decode_graph6(out.strip()).n > 0
+    for missing in flags:
+        argv = [arg for flag, value in flags.items() if flag != missing
+                for arg in (f"--{flag}", value)]
+        code, out, err = run_cli(capsys, "construct", name, *argv)
+        assert (code, out) == (2, ""), (name, missing)
+        assert f"construction {name!r} needs --{missing}" in err
+
+
+def test_construct_unknown_name_lists_every_construction(capsys):
+    code, out, err = run_cli(capsys, "construct", "thm99", "--n", "9")
+    assert (code, out) == (2, "")
+    assert "unknown construction 'thm99'" in err
+    for name in CONSTRUCTION_FLAGS:
+        assert name in err
+
+
 def test_pack_and_partition(capsys):
     code, out, _ = run_cli(capsys, "pack", "--host", "2*K3", "--pattern", "K3")
     assert code == 0

@@ -53,6 +53,18 @@ def test_is_kf_free_spec_examples():
         is_kF_free(K3, 0, K3)
 
 
+def test_is_kf_free_matches_the_embedder_on_the_disjoint_union():
+    # Oracle: g has k disjoint copies of f exactly when it holds a copy of
+    # their disjoint union, which the embedder looks for on its own.
+    rng = random.Random(41)
+    cases = ((K3, 2), (K3, 3), (cycle(4), 2), (cycle(5), 2),
+             (complete_bipartite(1, 2), 2))
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.8]))
+        for f, k in cases:
+            assert is_kF_free(g, k, f) == is_free(g, copies(k, f)), (g.adj, f.adj, k)
+
+
 def test_join_safety_property():
     # Gluing k-1 universal vertices onto an F-free graph kills k disjoint copies.
     rng = random.Random(29)

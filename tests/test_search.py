@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from genturan import graphs as graph_module, search
+from genturan import cli, graphs as graph_module, search
 from genturan.constructions import erdos_value, prop61_value
 from genturan.counting import count_copies, count_induced_family, is_family_free
 from genturan.graph6 import decode_graph6, encode_graph6
@@ -407,7 +407,7 @@ def test_caches_drop_the_oldest_key_past_their_limit(monkeypatch):
         brute_force_ex(problem)
     assert [key[0] for key in search._cache] == [2, 3, 4]
     # A hit on a held key stores nothing, so nothing is dropped.
-    key = search._problem_cache_key(problems[1], search.DEFAULT_WITNESS_CAP, False)
+    key = search._problem_key(problems[1]) + (search.DEFAULT_WITNESS_CAP, False)
     assert brute_force_ex(problems[1]) is search._cache[key]
     assert [key[0] for key in search._cache] == [2, 3, 4]
 
@@ -788,9 +788,7 @@ def test_carried_values_match_fresh_counts():
         for g, token, cert in real_walk(n, forbidden, **kwargs):
             assert search._value(objective, g, token) == objective.evaluate(g), \
                 (serialize_problem(problem), g.adj)
-            # Only a start graph at level n, here the 0-vertex graph at
-            # n = 0, comes without a certificate.
-            assert cert == (None if n == 0 else canonical_cert(g)), \
+            assert cert == canonical_cert(g), \
                 (serialize_problem(problem), g.adj)
             key = serialize_problem(problem)
             hosts[key] = hosts.get(key, 0) + 1
@@ -817,6 +815,26 @@ def test_carried_values_match_fresh_counts():
           + [SearchProblem(7, (cycle(4),), Objective.copies(h))
              for h in (_2K2, _P3, _K13)])
     check([p for p in registry_problems() if p.n <= 7])
+
+
+def test_the_walk_labels_the_zero_vertex_host(monkeypatch, capsys):
+    # Every host, the 0-vertex one included, is labelled by the certificate
+    # the walk hands out, so no search or enumeration canonicalises a host
+    # itself.
+    def refuse(g):
+        raise AssertionError("a host was canonicalised outside the walk")
+
+    monkeypatch.setattr(search, "canonical_graph", refuse)
+    monkeypatch.setattr(cli, "canonical_graph", refuse)
+    monkeypatch.setattr(search, "_cache", {})
+    assert list(enumerate_graphs(0, (), _node_hook=lambda g, token, blocked: (None, None))) \
+        == [(Graph(0), None, ())]
+    problem = SearchProblem(0, (), Objective.edges())
+    for kwargs in ({}, {"bounded": True}, {"shard": (0, 3)}):
+        r = brute_force_ex(problem, **kwargs)
+        assert (r.value, r.witnesses, r.explored, r.exhaustive) == (0, ("?",), 1, True), kwargs
+    assert cli.main(["enumerate", "--n", "0", "--canonical"]) == 0
+    assert capsys.readouterr().out == "?\n"
 
 
 def test_merge_refuses_results_of_different_problems():

@@ -118,6 +118,13 @@ def test_run_all_csv_pinned():
         "4ddd897fdd2e9af009d954eb02dbc83d069f2a8936c892d65d8f5a4988c31c30")
 
 
+def test_pool_report_matches_serial():
+    # The pool runs each check in a worker and hands the results back in id
+    # order, so its CSV is the serial run's, byte for byte.
+    serial = report_csv(run_all(None, (5, 6)))
+    assert report_csv(run_all(None, (5, 6), workers=2)) == serial
+
+
 def test_report_csv_deterministic_and_ordered():
     checks = [run_check("prop6.1", {"l": 1}, (4, 6)),
               run_check("erdos", {"s": 2, "t": 3}, (5, 6))]
