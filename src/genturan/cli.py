@@ -139,15 +139,15 @@ def _fstar(args) -> Graph:
 
 
 # Each construction: the flags it needs, in the order they are asked for,
-# and its builder from the parsed arguments.
+# the flags it may take, and its builder from the parsed arguments.
 CONSTRUCTIONS = {
-    "universal-join": (("k", "f"), lambda a: cons.universal_join(a.k, _read_graph(a.f))),
-    "thm32": (("n", "s", "t", "k"), lambda a: cons.thm32_lower(a.n, a.s, a.t, a.k)),
-    "thm35": (("n", "t", "k"), lambda a: cons.thm35_lower(a.n, a.t, a.k)),
-    "thm62": (("n", "k"), lambda a: cons.thm62_lower(a.n, a.k)),
-    "prop54": (("n", "s"), lambda a: cons.prop54_lower(a.n, a.s)),
-    "prop61": (("n",), lambda a: cons.prop61_host(a.n)),
-    "fstar": (("k", "f"), _fstar),
+    "universal-join": (("k", "f"), (), lambda a: cons.universal_join(a.k, _read_graph(a.f))),
+    "thm32": (("n", "s", "t", "k"), (), lambda a: cons.thm32_lower(a.n, a.s, a.t, a.k)),
+    "thm35": (("n", "t", "k"), (), lambda a: cons.thm35_lower(a.n, a.t, a.k)),
+    "thm62": (("n", "k"), (), lambda a: cons.thm62_lower(a.n, a.k)),
+    "prop54": (("n", "s"), (), lambda a: cons.prop54_lower(a.n, a.s)),
+    "prop61": (("n",), (), lambda a: cons.prop61_host(a.n)),
+    "fstar": (("k", "f"), ("u",), _fstar),
 }
 
 
@@ -155,10 +155,15 @@ def _cmd_construct(args) -> int:
     if args.name not in CONSTRUCTIONS:
         raise UsageError(f"unknown construction {args.name!r}; "
                          f"known: {', '.join(CONSTRUCTIONS)}")
-    flags, build = CONSTRUCTIONS[args.name]
+    flags, optional, build = CONSTRUCTIONS[args.name]
     for flag in flags:
         if getattr(args, flag) in (None, ""):
             raise UsageError(f"construction {args.name!r} needs --{flag}")
+    every = dict.fromkeys(f for need, may, _ in CONSTRUCTIONS.values() for f in need + may)
+    unread = [f"--{flag}" for flag in every
+              if flag not in flags + optional and getattr(args, flag) is not None]
+    if unread:
+        raise UsageError(f"construction {args.name!r} does not read {', '.join(unread)}")
     print(encode_graph6(build(args)))
     return 0
 

@@ -7,12 +7,14 @@ constructors (complete, cycle, complete bipartite, Turan, join, disjoint
 union, k copies, vertex deletion) and the isomorphism machinery: a canonical
 form computed by equitable partition refinement plus backtracking with
 automorphism pruning, and the isomorphism-free enumerator.  The canonical
-search also returns a complete generating set of the automorphism group;
-every vertex-orbit answer (the enumerator's deletion orbit, the counting
-module's anchor orbits) and the group order come from those generators.  The
-enumerator carries each graph with its generators and extends it by one
-neighbour subset per orbit of its automorphism group; a caller's node hook can
-carry its own per-graph token down the walk beside them.
+search starts from the automorphisms that need no search, the transpositions
+of twins (vertices with equal open or closed neighbourhoods), and returns a
+complete generating set of the automorphism group; every vertex-orbit answer
+(the enumerator's deletion orbit, the counting module's anchor orbits) and
+the group order come from those generators.  The enumerator carries each
+graph with its generators and extends it by one neighbour subset per orbit of
+its automorphism group; a caller's node hook can carry its own per-graph token
+down the walk beside them.
 """
 
 from __future__ import annotations
@@ -393,6 +395,24 @@ def _canon_search(adj: Sequence[int], n: int,
     along `first_path`, the vertices v1..vd individualized to reach the first
     leaf, the generators fixing v1..vi generate the pointwise stabilizer of
     v1..vi, for every i.
+
+    Before the search, `gens` is seeded with the automorphisms that need no
+    search: twins (vertices with equal open, or equal closed, neighbourhoods)
+    in one starting cell are swapped by a transposition, and the
+    transpositions of each such group with its previous member generate the
+    group's whole symmetric group.  Twins in different cells are not paired,
+    since that swap moves a cell; twins of the refined unit partition always
+    share a cell.  On joins of cliques and complete multipartite graphs this
+    leaves a handful of leaves where each unpaired twin used to cost one.
+    The seeds are true automorphisms of the starting partition, so pruning a
+    sibling by them skips only subtrees that are images of subtrees already
+    searched: the certificate is the same, `order` may be another leaf with
+    that certificate, and `gens` generate the same group.  The stabilizer
+    property along `first_path` still holds: a sibling of v(i+1) in its orbit
+    under the stabilizer of v1..vi is either searched, and a leaf below it
+    equivalent to the first leaf gives a generator fixing v1..vi that maps
+    v(i+1) to it, or skipped as the image of a searched sibling under
+    generators fixing v1..vi, seeds included.
     """
     if n == 0:
         return _CanonResult((), [], [], [])
@@ -405,6 +425,21 @@ def _canon_search(adj: Sequence[int], n: int,
     best_cert: tuple[int, ...] | None = None
     best_order: list[int] = []
     gens: list[tuple[int, ...]] = []
+    for cell in cells:
+        if len(cell) > 1:
+            # An open neighbourhood never equals another vertex's closed one
+            # (adj[u] == adj[v] | 1 << v puts v in adj[u], so u in adj[v] and
+            # then in adj[u]), so one table holds both keys.
+            last: dict[int, int] = {}
+            for v in cell:
+                for key in (adj[v], adj[v] | 1 << v):
+                    u = last.get(key)
+                    if u is not None:
+                        swap = list(range(n))
+                        swap[u] = v
+                        swap[v] = u
+                        gens.append(tuple(swap))
+                    last[key] = v
 
     def search(cells: list[list[int]], fixed: list[int]) -> None:
         nonlocal first_cert, first_order, first_path, best_cert, best_order

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from genturan.cli import main
+from genturan.constructions import f_star
 from genturan.graph6 import decode_graph6, encode_graph6
 from genturan.graphs import (are_isomorphic, canonical_graph, complete,
                              complete_bipartite, enumerate_graphs, join, turan)
@@ -84,6 +85,28 @@ def test_construct_names_each_missing_flag(capsys, name):
         code, out, err = run_cli(capsys, "construct", name, *argv)
         assert (code, out) == (2, ""), (name, missing)
         assert f"construction {name!r} needs --{missing}" in err
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_FLAGS))
+def test_construct_refuses_each_flag_it_does_not_read(capsys, name):
+    flags = CONSTRUCTION_FLAGS[name]
+    argv = [arg for flag, value in flags.items() for arg in (f"--{flag}", value)]
+    extras = {"n": "9", "s": "5", "t": "3", "k": "2", "f": "K9", "u": "1"}
+    unread = [flag for flag in extras
+              if flag not in flags and (name, flag) != ("fstar", "u")]
+    for flag in unread:
+        code, out, err = run_cli(capsys, "construct", name, *argv, f"--{flag}", extras[flag])
+        assert (code, out) == (2, ""), (name, flag)
+        assert f"construction {name!r} does not read --{flag}" in err
+    every = [arg for flag in unread for arg in (f"--{flag}", extras[flag])]
+    code, out, err = run_cli(capsys, "construct", name, *argv, *every)
+    assert (code, out) == (2, "") and all(f"--{flag}" in err for flag in unread)
+
+
+def test_construct_fstar_takes_its_center(capsys):
+    code, out, _ = run_cli(capsys, "construct", "fstar", "--f", "K1,2", "--k", "2",
+                           "--u", "1")
+    assert (code, out.strip()) == (0, encode_graph6(f_star(parse_spec("K1,2").build(), 1, 2)))
 
 
 def test_construct_unknown_name_lists_every_construction(capsys):

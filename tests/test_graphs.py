@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import pickle
 import random
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genturan import graphs as graphs_mod
+from genturan.constructions import thm35_lower
 from genturan.counting import count_injections
 from genturan.graphs import (Graph, _canon_search, _orbit_representatives,
-                             are_isomorphic, automorphism_count,
+                             _refine, are_isomorphic, automorphism_count,
                              canonical_form, canonical_graph, complete,
                              complete_bipartite, copies, cycle, delete_vertex,
                              disjoint_union, empty_graph, enumerate_graphs,
@@ -147,6 +149,66 @@ def test_automorphism_count_vs_self_embeddings():
                for _ in range(3)]
     for g in graphs:
         assert automorphism_count(g) == count_injections(g, g), g.adj
+
+
+def _multipartite_aut(parts: list[int]) -> int:
+    """|Aut| of the complete multipartite graph with these part sizes: each
+    part's vertices permute freely, and parts of one size swap whole."""
+    return (prod(factorial(p) for p in parts)
+            * prod(factorial(parts.count(p)) for p in set(parts)))
+
+
+def test_automorphism_count_of_twin_rich_graphs():
+    # Closed forms; a universal K_a is a parts of size 1.
+    for n, r in [(6, 2), (7, 3), (12, 4), (20, 4), (18, 3), (11, 11), (9, 1)]:
+        parts = [len(range(i, n, r)) for i in range(r)]
+        assert automorphism_count(turan(n, r)) == _multipartite_aut(parts), (n, r)
+        for a in (1, 2, 3):
+            assert (automorphism_count(join(complete(a), turan(n, r)))
+                    == _multipartite_aut(parts + [1] * a)), (a, n, r)
+    assert (automorphism_count(join(complete(2), turan(30, 3)))
+            == factorial(2) * factorial(10) ** 3 * factorial(3))
+    assert automorphism_count(thm35_lower(20, 3, 2)) == factorial(10) * factorial(9)
+    for n in (1, 2, 5, 12, 20):
+        assert automorphism_count(complete(n)) == factorial(n)
+        assert automorphism_count(empty_graph(n)) == factorial(n)
+    for s, t in [(1, 1), (1, 6), (3, 3), (6, 7), (10, 10)]:
+        assert automorphism_count(complete_bipartite(s, t)) == _multipartite_aut([s, t])
+    for k in (1, 2, 3, 7):
+        assert automorphism_count(copies(k, complete(2))) == 2 ** k * factorial(k)
+
+
+def test_twin_seeds_cut_the_leaves_searched(monkeypatch):
+    # Twin transpositions are known before the search, so one leaf per twin
+    # is no longer needed to find them.  Leaf counts are exact, not timings.
+    leaves = [0]
+    real = graphs_mod._leaf_cert
+
+    def counted(adj, order):
+        leaves[0] += 1
+        return real(adj, order)
+
+    monkeypatch.setattr(graphs_mod, "_leaf_cert", counted)
+    for g, want in [(turan(20, 4), 7), (join(complete(2), turan(30, 3)), 4),
+                    (complete(12), 1), (complete_bipartite(6, 7), 1)]:
+        leaves[0] = 0
+        _canon_search(g.adj, g.n)
+        assert leaves[0] == want, (g, leaves[0])
+
+
+def test_twin_seeds_keep_the_starting_cells():
+    # Leaf 0 of the star is individualised, so it is no longer a twin of the
+    # other leaves within any cell: no generator may swap it with them.
+    n = 7
+    star = from_edges(n, [(v, n - 1) for v in range(n - 1)])
+    cells = _refine(star.adj, [[0], list(range(1, n))])
+    gens = _canon_search(star.adj, n, cells).gens
+    assert gens
+    for gen in gens:
+        for cell in cells:
+            assert sorted(gen[v] for v in cell) == sorted(cell), (gen, cells)
+    orbits = _generated_orbits(n, gens)
+    assert all(orbits[v] == set(cell) for cell in cells for v in cell)
 
 
 def _generated_orbits(n: int, gens) -> list[set[int]]:
