@@ -113,6 +113,9 @@ class Graph:
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph induced by the given vertices, indices compacted in order."""
         vs = sorted(set(vertices))
+        for v in vs:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range for n={self.n}")
         pos = {v: i for i, v in enumerate(vs)}
         adj = [0] * len(vs)
         for i, v in enumerate(vs):
@@ -124,6 +127,8 @@ class Graph:
         return Graph._make(len(vs), tuple(adj))
 
     def induced_mask(self, mask: int) -> "Graph":
+        if mask < 0:
+            raise ValueError(f"vertex mask {mask} is negative")
         return self.induced(_bits(mask))
 
 

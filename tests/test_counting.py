@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -45,22 +45,80 @@ def test_count_induced_spec_examples():
     assert count_induced_copies(complete(4), edge_plus_isolated) == 0
 
 
+K1, K2 = complete(1), complete(2)
+P3_K2 = disjoint_union(P3, K2)
+
+
 @pytest.mark.parametrize("pattern", [
     complete(3), complete(4), cycle(4), cycle(5),
-    copies(2, complete(2)), complete_bipartite(2, 2), copies(2, complete(3)),
-    P3, disjoint_union(complete(2), empty_graph(1)),
-    P4, complete_bipartite(1, 3), disjoint_union(complete(3), complete(2)),
+    copies(2, K2), complete_bipartite(2, 2), copies(2, complete(3)),
+    P3, disjoint_union(K2, K1),
+    P4, complete_bipartite(1, 3), disjoint_union(complete(3), K2),
+    # Patterns whose plan ends in isolated vertices and/or one K2, counted
+    # in closed form once the rest is mapped.
+    empty_graph(2), empty_graph(3), disjoint_union(K2, empty_graph(2)),
+    copies(3, K2), P3_K2, disjoint_union(P3_K2, K1),
 ])
 def test_count_copies_vs_naive_oracle(pattern):
     rng = random.Random(hash((pattern.n, pattern.adj)) & 0xFFFF)
     meets = random.Random(pattern.edge_count())
     for _ in range(12):
-        n = rng.randint(1, 7)
+        n = rng.randint(1, 8)
         g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
         assert count_copies(g, pattern) == naive_count_copies(g, pattern)
-        meet, exactly = meets.getrandbits(n), meets.randint(0, pattern.n)
-        assert (count_copies_meeting(g, pattern, meet, exactly)
-                == naive_count_copies(g, pattern, meet, exactly))
+        meet = meets.getrandbits(n)
+        for exactly in range(pattern.n + 1):
+            assert (count_copies_meeting(g, pattern, meet, exactly)
+                    == naive_count_copies(g, pattern, meet, exactly))
+
+
+def test_disconnected_tails_match_closed_forms():
+    # The test's own arithmetic on hosts too large for the naive oracle:
+    # 2K2 = pairs of edges minus pairs sharing a vertex, iK1 = C(n, i),
+    # K2+K1 = an edge and any other vertex, and copies of K1 and K2 meeting
+    # a set M by their ends in M.
+    rng = random.Random(29)
+    for _ in range(8):
+        n = rng.randint(12, 30)
+        g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5]))
+        edges = list(g.edges())
+        m = len(edges)
+        degrees = [row.bit_count() for row in g.adj]
+        assert count_copies(g, copies(2, K2)) == comb(m, 2) - sum(comb(d, 2) for d in degrees)
+        for i in (1, 2, 3, 4):
+            assert count_copies(g, empty_graph(i)) == comb(n, i)
+        assert count_copies(g, disjoint_union(K2, K1)) == m * (n - 2)
+        meet = rng.getrandbits(n)
+        inside = bin(meet).count("1")
+        assert count_copies_meeting(g, K1, meet, 1) == inside
+        assert count_copies_meeting(g, K1, meet, 0) == n - inside
+        for ends in (0, 1, 2):
+            want = sum(1 for u, v in edges if (meet >> u & 1) + (meet >> v & 1) == ends)
+            assert count_copies_meeting(g, K2, meet, ends) == want
+
+
+def test_count_induced_family_vs_naive_member_sum():
+    # The induced subgraphs of C5 and of K2,3, listed by hand: the empty
+    # graph counts once, every other member by the naive oracle.
+    k13 = complete_bipartite(1, 3)
+    families = {
+        cycle(5): [K1, empty_graph(2), K2, disjoint_union(K2, K1), P3, P4, cycle(5)],
+        complete_bipartite(2, 3): [K1, empty_graph(2), K2, empty_graph(3), P3, cycle(4),
+                                   k13, complete_bipartite(2, 3)],
+    }
+    rng = random.Random(31)
+    for _ in range(6):
+        g = random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.6, 0.8]))
+        for h, members in families.items():
+            want = 1 + sum(naive_count_copies(g, f) for f in members)
+            assert count_induced_family(g, h) == want
+
+
+def test_meet_set_members_must_be_host_vertices():
+    g = cycle(5)
+    for meet in ([-1], [0, 5], {7}, 1 << 5):
+        with pytest.raises(ValueError, match="meet set has vertices outside the host"):
+            count_copies_meeting(g, K2, meet, 1)
 
 
 @pytest.mark.parametrize("pattern", [complete(3), cycle(4), P3,

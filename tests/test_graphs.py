@@ -91,6 +91,18 @@ def test_delete_vertex_compacts_indices():
     assert sorted(h.edges()) == [(1, 2)]
 
 
+def test_induced_rejects_vertices_outside_the_graph():
+    assert sorted(cycle(5).induced([4, 0]).edges()) == [(0, 1)]
+    with pytest.raises(ValueError, match="vertex -1 out of range for n=5"):
+        cycle(5).induced([-1, 0])
+    with pytest.raises(ValueError, match="vertex 5 out of range for n=5"):
+        cycle(5).induced([0, 5])
+    with pytest.raises(ValueError, match="vertex 5 out of range for n=5"):
+        cycle(5).induced_mask(1 << 5)
+    with pytest.raises(ValueError, match="negative"):
+        cycle(5).induced_mask(-1)
+
+
 def test_canonical_form_same_graph_different_labels():
     assert canonical_form(cycle(4)) == canonical_form(complete_bipartite(2, 2))
     p3 = from_edges(3, [(0, 1), (1, 2)])
