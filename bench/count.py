@@ -5,9 +5,9 @@
 Imports genturan from DIR (default: ./src next to this script's parent) and
 rebuilds the hosts of the perfbench `hosts` workload for each seed: twelve
 G(n, m) hosts (n = 16, 18, ..., 38, m = 2n edges drawn uniformly with
-`random.Random(seed)`) and the eight symmetric hosts, built with `gspec` and
-`constructions`.  Each kernel below is run on every host whose workload plan
-counts its pattern, as the workload does: the copy and meeting counts of 2K2
+`random.Random(seed)`) and the eight symmetric hosts of `bench/canon.py`.
+Each kernel below is run on every host whose workload plan counts its
+pattern, as the workload does: the copy and meeting counts of 2K2
 (the meeting count with the first max(1, n // 4) vertices, exactly 1), and
 the induced-family totals of the patterns whose family has a disconnected
 member (2K1 in C4's, 2K1 and K2+K1 in C5's, 2K1 and 3K1 in K2,3's, 2K1, K2+K1
@@ -29,11 +29,13 @@ import statistics
 import sys
 import time
 
+import canon  # bench/canon.py, beside this script: the symmetric hosts
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RANDOM_SIZES = tuple(range(16, 40, 2))
 RANDOM_PATTERNS = ("K3", "K4", "C4", "C5", "K2,3", "2*K2")
-# The symmetric hosts and the patterns the workload counts on each.
+# The patterns the workload counts on each symmetric host of `canon.HOSTS`.
 SYMMETRIC = {
     "T(20,4)": ("K3", "K4", "C4", "2*K2"),
     "T(18,3)": ("K3", "K4", "C4", "2*K2"),
@@ -56,15 +58,8 @@ def build_hosts(seed: int, graphs, gspec, constructions) -> list[tuple]:
     for n in RANDOM_SIZES:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         out.append((graphs.from_edges(n, rng.sample(pairs, 2 * n)), RANDOM_PATTERNS))
-    calls = {
-        "thm35_lower(20,3,2)": lambda: constructions.thm35_lower(20, 3, 2),
-        "thm62_lower(20,3)": lambda: constructions.thm62_lower(20, 3),
-        "f_star(C5,0,2)": lambda: constructions.f_star(graphs.cycle(5), 0, 2),
-        "f_star(C4,0,3)": lambda: constructions.f_star(graphs.cycle(4), 0, 3),
-    }
-    for name, patterns in SYMMETRIC.items():
-        g = calls[name]() if name in calls else gspec.parse_spec(name).build()
-        out.append((g, patterns))
+    symmetric = canon.build_hosts(graphs, gspec, constructions)
+    out += [(symmetric[name], patterns) for name, patterns in SYMMETRIC.items()]
     return out
 
 

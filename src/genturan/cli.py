@@ -3,7 +3,8 @@
 Subcommands: construct, count, free, pack, partition, search, enumerate,
 verify.  Graph arguments accept either the expression syntax (K5, C7, K2,3,
 T(9,3), 2*C5, join(K1,T(8,2)), del(K4,0), union/E forms) or a graph6
-string; `-` reads graph6 lines from stdin.  Exit status: 0 on success /
+string; `-` reads graph6 lines from stdin.  An expression the `graphs`
+constructors refuse is a usage error.  Exit status: 0 on success /
 all-pass, 1 on any check failure or negative freeness answer, 2 on usage
 errors.
 """
@@ -275,11 +276,14 @@ def _cmd_verify(args) -> int:
         if key in params:
             raise UsageError(f"repeated --param key {key!r}")
         params[key] = value
+    workers = settings.get("workers", 1)
     if args.check == "all":
         if params:
             raise UsageError("--param applies to a single check, not 'all'")
-        checks = run_all(cfg, n_range, workers=settings.get("workers", 1))
+        checks = run_all(cfg, n_range, workers=workers)
     else:
+        if workers > 1:
+            raise UsageError(f"workers={workers} applies to 'all', not a single check")
         checks = [run_check(args.check, params or None, n_range, cfg)]
     table = emit_report(checks, args.csv)
     print(table, end="")
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="plain key=value config file; keys: "
                                     + ", ".join(CONFIG_KEYS))
     p.add_argument("--workers", type=_positive_int,
-                   help="run checks in this many worker processes (default 1)")
+                   help="run 'all' in this many worker processes (default 1)")
     p.set_defaults(fn=_cmd_verify)
     return top
 

@@ -22,8 +22,6 @@ def universal_join(k: int, g: Graph) -> Graph:
     k disjoint copies of F, since each copy must use a universal vertex."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if g.n + k - 1 > MAX_VERTICES:
-        raise ValueError(f"{g.n + k - 1} vertices exceed {MAX_VERTICES}")
     if k == 1:
         return g
     return graphs.join(graphs.complete(k - 1), g)

@@ -165,6 +165,8 @@ def is_connected(g: Graph) -> bool:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
         if u == v:
@@ -222,9 +224,9 @@ def turan_part_sizes(n: int, r: int) -> list[int]:
 
 def turan(n: int, r: int) -> Graph:
     """Complete r-partite graph on n vertices with balanced part sizes."""
-    sizes = turan_part_sizes(n, r)
     if n > MAX_VERTICES:
         raise ValueError(f"{n} vertices exceed {MAX_VERTICES}")
+    sizes = turan_part_sizes(n, r)
     full = (1 << n) - 1
     adj = []
     start = 0
@@ -258,10 +260,11 @@ def copies(k: int, g: Graph) -> Graph:
     """Vertex-disjoint union of k copies of g."""
     if k < 1:
         raise ValueError(f"copy count {k} < 1")
-    out = g
-    for _ in range(k - 1):
-        out = disjoint_union(out, g)
-    return out
+    n = k * g.n
+    if n > MAX_VERTICES:
+        raise ValueError(f"{k} copies would have {n} > {MAX_VERTICES} vertices")
+    # Copy i is shifted up by i * g.n; a 0-vertex g has no row to shift.
+    return Graph._make(n, tuple(row << s for s in range(0, n, g.n or 1) for row in g.adj))
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:

@@ -3,7 +3,8 @@
 A GraphSpec names a graph symbolically: leaves are K_r, C_l, K_{a,b}, the
 Turan graph T_r(n) and the edgeless graph; combinators are join, disjoint
 union, k-fold copies and single-vertex deletion.  `GraphSpec.build` evaluates
-a spec to a Graph, validating leaf parameters and the 64-vertex cap.
+a spec with the `graphs` constructors, which check every size and parameter;
+a value they refuse is a SpecError naming the expression.
 
 Text forms accepted by the CLI:
 
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from . import graphs
-from .graphs import Graph, MAX_VERTICES
+from .graphs import Graph
 
 
 class SpecError(ValueError):
@@ -27,13 +28,13 @@ class SpecError(ValueError):
 class GraphSpec:
     """Base class for graph expressions."""
 
-    def vertex_count(self) -> int:
-        raise NotImplementedError
-
     def build(self) -> Graph:
-        if self.vertex_count() > MAX_VERTICES:
-            raise SpecError(f"{self} has {self.vertex_count()} > {MAX_VERTICES} vertices")
-        return self._build()
+        """Evaluate the expression.  The `graphs` constructors check every
+        size and parameter; what they refuse is a SpecError naming it."""
+        try:
+            return self._build()
+        except ValueError as err:
+            raise SpecError(f"{self}: {err}") from err
 
     def _build(self) -> Graph:
         raise NotImplementedError
@@ -43,12 +44,7 @@ class GraphSpec:
 class Complete(GraphSpec):
     r: int
 
-    def vertex_count(self) -> int:
-        return self.r
-
     def _build(self) -> Graph:
-        if self.r < 0:
-            raise SpecError(f"K{self.r}: negative size")
         return graphs.complete(self.r)
 
     def __str__(self) -> str:
@@ -59,12 +55,7 @@ class Complete(GraphSpec):
 class Cycle(GraphSpec):
     l: int
 
-    def vertex_count(self) -> int:
-        return self.l
-
     def _build(self) -> Graph:
-        if self.l < 3:
-            raise SpecError(f"C{self.l}: cycles need length >= 3")
         return graphs.cycle(self.l)
 
     def __str__(self) -> str:
@@ -76,12 +67,7 @@ class CompleteBipartite(GraphSpec):
     a: int
     b: int
 
-    def vertex_count(self) -> int:
-        return self.a + self.b
-
     def _build(self) -> Graph:
-        if self.a < 1 or self.b < 1:
-            raise SpecError(f"K{self.a},{self.b}: both sides must be >= 1")
         return graphs.complete_bipartite(self.a, self.b)
 
     def __str__(self) -> str:
@@ -93,12 +79,7 @@ class Turan(GraphSpec):
     n: int
     r: int
 
-    def vertex_count(self) -> int:
-        return self.n
-
     def _build(self) -> Graph:
-        if not 1 <= self.r <= self.n:
-            raise SpecError(f"T({self.n},{self.r}): needs 1 <= r <= n")
         return graphs.turan(self.n, self.r)
 
     def __str__(self) -> str:
@@ -109,12 +90,7 @@ class Turan(GraphSpec):
 class Empty(GraphSpec):
     n: int
 
-    def vertex_count(self) -> int:
-        return self.n
-
     def _build(self) -> Graph:
-        if self.n < 0:
-            raise SpecError(f"E{self.n}: negative size")
         return graphs.empty_graph(self.n)
 
     def __str__(self) -> str:
@@ -126,11 +102,8 @@ class Join(GraphSpec):
     left: GraphSpec
     right: GraphSpec
 
-    def vertex_count(self) -> int:
-        return self.left.vertex_count() + self.right.vertex_count()
-
     def _build(self) -> Graph:
-        return graphs.join(self.left.build(), self.right.build())
+        return graphs.join(self.left._build(), self.right._build())
 
     def __str__(self) -> str:
         return f"join({self.left}, {self.right})"
@@ -141,11 +114,8 @@ class DisjointUnion(GraphSpec):
     left: GraphSpec
     right: GraphSpec
 
-    def vertex_count(self) -> int:
-        return self.left.vertex_count() + self.right.vertex_count()
-
     def _build(self) -> Graph:
-        return graphs.disjoint_union(self.left.build(), self.right.build())
+        return graphs.disjoint_union(self.left._build(), self.right._build())
 
     def __str__(self) -> str:
         return f"union({self.left}, {self.right})"
@@ -156,13 +126,8 @@ class Copies(GraphSpec):
     k: int
     spec: GraphSpec
 
-    def vertex_count(self) -> int:
-        return self.k * self.spec.vertex_count()
-
     def _build(self) -> Graph:
-        if self.k < 1:
-            raise SpecError(f"{self.k}*{self.spec}: copy count must be >= 1")
-        return graphs.copies(self.k, self.spec.build())
+        return graphs.copies(self.k, self.spec._build())
 
     def __str__(self) -> str:
         return f"{self.k}*{self.spec}"
@@ -173,11 +138,8 @@ class DeleteVertex(GraphSpec):
     spec: GraphSpec
     v: int
 
-    def vertex_count(self) -> int:
-        return self.spec.vertex_count() - 1
-
     def _build(self) -> Graph:
-        return graphs.delete_vertex(self.spec.build(), self.v)
+        return graphs.delete_vertex(self.spec._build(), self.v)
 
     def __str__(self) -> str:
         return f"del({self.spec}, {self.v})"

@@ -16,6 +16,13 @@ import genturan
 from genturan.graphs import Graph, turan_part_sizes
 
 
+# Graph expressions that parse but that a `graphs` constructor refuses: a
+# parameter out of range, or more than 64 vertices (at a leaf, a join or a
+# copy count), or a deleted vertex outside the graph.
+MALFORMED_SPECS = ("C2", "T(3,4)", "0*K2", "30*K3", "100*K1", "K65", "join(K40,K30)",
+                   "del(K4, 9)", "del(E0, 0)", "T(1000000,1000000)")
+
+
 def package_env() -> dict[str, str]:
     """The environment with PYTHONPATH led by the directory the tests import
     genturan from, so a child Python process runs the same package."""

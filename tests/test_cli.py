@@ -14,6 +14,8 @@ from genturan.graphs import (are_isomorphic, canonical_graph, complete,
                              complete_bipartite, enumerate_graphs, join, turan)
 from genturan.gspec import parse_spec
 
+from conftest import MALFORMED_SPECS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -257,6 +259,12 @@ def test_bad_spec_usage_error(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("spec", MALFORMED_SPECS)
+def test_malformed_spec_usage_error(capsys, spec):
+    code, _, err = run_cli(capsys, "count", "--host", spec, "--pattern", "K1")
+    assert code == 2 and "not a graph spec or graph6 string" in err
+
+
 def test_bad_range_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "prop6.1", "--n-range", "x..y")
     assert code == 2
@@ -285,6 +293,16 @@ def test_config_file(capsys, tmp_path):
                            "--config", str(cfg))
     assert code == 0
     assert "inconclusive" in out
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_single_check_refuses_workers(capsys, tmp_path, source):
+    # Like --param for 'all', workers above 1 is refused, not ignored.
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("workers=3\n")
+    extra = ["--workers", "3"] if source == "flag" else ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, "verify", "erdos", "--n-range", "5..5", *extra)
+    assert (code, out) == (2, "") and "workers=3 applies to 'all'" in err
 
 
 def test_verify_unknown_param_usage_error(capsys):

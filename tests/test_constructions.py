@@ -31,6 +31,9 @@ def test_universal_join_examples():
     k, h = 3, cycle(5)
     built = universal_join(k, h)
     assert built.edge_count() == h.edge_count() + (k - 1) * h.n + comb(k - 1, 2)
+    for k, h in ((2, complete(64)), (10**12, K3)):
+        with pytest.raises(ValueError):
+            universal_join(k, h)
 
 
 def test_x_exponent_forced_arithmetic():

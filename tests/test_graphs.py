@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import tracemalloc
 from math import comb, factorial, prod
 
 import pytest
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 from genturan import graphs as graphs_mod
 from genturan.constructions import thm35_lower
 from genturan.counting import count_injections
-from genturan.graphs import (Graph, _canon_search, _orbit_representatives,
-                             _refine, are_isomorphic, automorphism_count,
-                             canonical_form, canonical_graph, complete,
-                             complete_bipartite, copies, cycle, delete_vertex,
-                             disjoint_union, empty_graph, enumerate_graphs,
-                             from_edges, join, relabel, turan)
+from genturan.graphs import (MAX_VERTICES, Graph, _canon_search,
+                             _orbit_representatives, _refine, are_isomorphic,
+                             automorphism_count, canonical_form,
+                             canonical_graph, complete, complete_bipartite,
+                             copies, cycle, delete_vertex, disjoint_union,
+                             empty_graph, enumerate_graphs, from_edges, join,
+                             relabel, turan)
 
 from conftest import (naive_automorphisms, naive_isomorphism_classes,
                       naive_orbits, random_graph, registry_usage)
@@ -50,6 +52,32 @@ def test_constructor_arithmetic():
         complete_bipartite(0, 3)
     with pytest.raises(ValueError):
         turan(3, 4)
+
+
+def test_constructors_check_size_before_work():
+    for n in (-1, MAX_VERTICES + 1):
+        with pytest.raises(ValueError):
+            from_edges(n, [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            turan(2_000_000, 2_000_000)
+        with pytest.raises(ValueError):
+            copies(10**9, complete(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert copies(10**9, empty_graph(0)) == empty_graph(0)
+
+
+@pytest.mark.parametrize("g", [complete(1), complete(3), cycle(5), complete_bipartite(2, 3)],
+                         ids=["K1", "K3", "C5", "K2,3"])
+def test_copies_is_repeated_disjoint_union(g):
+    union = g
+    for k in range(1, 5):
+        assert copies(k, g) == union
+        union = disjoint_union(union, g)
 
 
 @pytest.mark.parametrize("n,r", [(5, 2), (7, 3), (9, 3), (10, 4), (6, 6)])

@@ -2,16 +2,27 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import re
+import time
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genturan import constructions, graphs, gspec, verify
 from genturan.graphs import (MAX_VERTICES, are_isomorphic, complete,
                              complete_bipartite, cycle, delete_vertex,
                              empty_graph, join, turan)
+from genturan.graph6 import encode_graph6
 from genturan.gspec import (Complete, CompleteBipartite, Copies, Cycle,
                             DeleteVertex, DisjointUnion, Empty, Join,
                             SpecError, Turan, parse_spec, parse_spec_list)
+
+from conftest import MALFORMED_SPECS
 
 
 def test_build_spec_examples():
@@ -24,14 +35,72 @@ def test_build_spec_examples():
 
 
 def test_build_validates_leaves():
-    with pytest.raises(SpecError):
-        Cycle(2).build()
-    with pytest.raises(SpecError):
-        Turan(3, 4).build()
-    with pytest.raises(SpecError):
-        Copies(0, Complete(2)).build()
-    with pytest.raises(SpecError):
-        Copies(30, Complete(3)).build()  # 90 vertices
+    # The `graphs` constructors decide; build names the expression.
+    for text in MALFORMED_SPECS:
+        with pytest.raises(SpecError, match=re.escape(str(parse_spec(text)))):
+            parse_spec(text).build()
+    with pytest.raises(SpecError, match=r"del\(join\(K40, K30\), 0\)"):
+        parse_spec("del(join(K40,K30), 0)").build()
+
+
+def test_oversized_turan_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpecError):
+            parse_spec("T(1000000,1000000)").build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_copies_of_the_0_vertex_graph_are_immediate():
+    start = time.perf_counter()
+    g = parse_spec("999999999*K0").build()
+    assert g.n == 0 and time.perf_counter() - start < 1
+
+
+# graph6 of the README's examples, the verify registry's default graph
+# parameters and graphs at the 64-vertex cap, pinned so that a change to
+# where sizes and parameters are checked changes no graph.
+CORPUS = {
+    "K5": "D~{", "C7": "FhCKG", "K2,3": "D]o", "E4": "C?", "T(9,3)": "HFzf~z{",
+    "2*C5": "Ihc?GC@@G", "join(K1, T(8,2))": "Hsb~vrw", "union(K3, C4)": "FwCGg",
+    "del(K4, 0)": "Bw", "T(5,2)": "DFw", "K2": "A_", "K6": "E~~w", "K3": "Bw",
+    "join(K1,T(6,2))": "Fs~v_", "2*K3": "EwCW", "C5": "Dhc", "K4": "C~", "C4": "Cl",
+    "K0": "?", "E0": "?", "K1": "@", "del(K1, 0)": "?",
+}
+# Larger graphs by the sha256 of their graph6, with the eight symmetric hosts
+# of `bench/canon.py`.
+CORPUS_SHA256 = {
+    "K64": "0963903850d2c423", "E64": "f75500fba8b8903d", "C64": "96b69dad4f40a53f",
+    "K32,32": "aaf3f7b18a6d8338", "T(64,8)": "ab394e941de1e9f1",
+    "64*K1": "f75500fba8b8903d", "32*K2": "47393298a29cdb3f",
+    "join(K32, K32)": "0963903850d2c423", "union(K40, C24)": "e3549feb7f4445b4",
+    "T(20,4)": "52d8d30963cd2181", "T(18,3)": "31a9dfe9c9e0d494",
+    "join(K2,T(30,3))": "be52f1be49aaa98c", "8*C5": "f7df05dcc7ec581d",
+    "thm35_lower(20,3,2)": "fda4e7cc63102c5c", "thm62_lower(20,3)": "57875d8fcca14b12",
+    "f_star(C5,0,2)": "a4e2856d8772d2b2", "f_star(C4,0,3)": "6e75ec1368f8243a",
+}
+
+
+def test_corpus_builds_the_same_graph6():
+    built = {text: encode_graph6(parse_spec(text).build()) for text in CORPUS}
+    assert built == CORPUS
+    path = Path(__file__).resolve().parents[1] / "bench" / "canon.py"
+    spec = importlib.util.spec_from_file_location("bench_canon", path)
+    canon = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(canon)
+    hosts = canon.build_hosts(graphs, gspec, constructions)
+    digests = {}
+    for text in CORPUS_SHA256:
+        g = hosts[text] if text in hosts else parse_spec(text).build()
+        digests[text] = hashlib.sha256(encode_graph6(g).encode()).hexdigest()[:16]
+    assert digests == CORPUS_SHA256
+    # The keys `verify._graph_param` reads.
+    defaults = {str(v) for d in verify._REGISTRY.values()
+                for k, v in d.default_params.items() if k in ("f", "h", "f1", "f2")}
+    assert defaults and defaults <= set(CORPUS)
 
 
 def test_parse_atoms():
