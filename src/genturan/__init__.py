@@ -19,14 +19,14 @@ from .counting import (contains, count_copies, count_copies_meeting,
                        count_injections, induced_family, is_family_free,
                        is_free)
 from .packing import (CanonicalPartition, Packing, canonical_partition,
-                      copy_vertex_sets, greedy_packing, is_kF_free,
-                      max_disjoint_packing, max_packing_size)
+                      copy_vertex_sets, is_kF_free, max_disjoint_packing,
+                      max_packing_size)
 from .constructions import (default_center_vertex, erdos_value, f_star,
                             prop54_lower, prop61_host, prop61_value, thm32_lower,
                             thm35_leading, thm35_lower, thm62_lower,
                             turan_clique_count, universal_join, x_exponent)
 from .search import (ExtremalResult, Objective, SearchProblem, brute_force_ex,
-                     merge, parse_problem, result_line, serialize_problem)
+                     merge, result_line, serialize_problem)
 from .verify import (TheoremCheck, VerifyConfig, emit_report, registry_ids,
                      run_all, run_check)
 

@@ -87,12 +87,11 @@ def _at_least(kind, low):
 
 
 _positive_int = _at_least(int, 1)  # witness caps, worker and shard counts
-_explored_cap = _at_least(int, 0)  # --max-explored
 _seconds = _at_least(float, 0)     # --budget-seconds
 
 # Each verify setting and the parser of its value.
-CONFIG_KEYS = {"budget-seconds": _seconds, "max-explored": _explored_cap,
-               "witness-cap": _positive_int, "workers": _positive_int}
+CONFIG_KEYS = {"budget-seconds": _seconds, "witness-cap": _positive_int,
+               "workers": _positive_int}
 
 
 def _load_config(path: str | None) -> dict:
@@ -226,17 +225,12 @@ def _cmd_search(args) -> int:
     _check_n_cap(args)
     forbidden = tuple(_read_family(args.forbid)) if args.forbid else ()
     problem = SearchProblem(args.n, forbidden, _build_objective(args))
-    # One budget for the whole run: one deadline, and the hosts left over.
-    seconds, left = args.budget_seconds, args.max_explored
+    # One deadline for the whole run: every shard stops at it.
+    seconds = args.budget_seconds
     deadline = None if seconds is None else time.monotonic() + seconds
-    results = []
-    for i in range(args.shards):
-        results.append(brute_force_ex(problem, witness_cap=args.witness_cap,
-                                      deadline=deadline, max_explored=left,
-                                      shard=(i, args.shards)))
-        if left is not None:
-            left -= results[-1].explored
-    result = merge(results, witness_cap=args.witness_cap)
+    result = merge([brute_force_ex(problem, witness_cap=args.witness_cap,
+                                   deadline=deadline, shard=(i, args.shards))
+                    for i in range(args.shards)], witness_cap=args.witness_cap)
     print(result_line(problem, result))
     return 0
 
@@ -265,8 +259,7 @@ def _cmd_verify(args) -> int:
     # One deadline for the whole run: every search stops at it.
     seconds = settings.get("budget-seconds")
     cfg = VerifyConfig(witness_cap=settings.get("witness-cap", DEFAULT_WITNESS_CAP),
-                       deadline=None if seconds is None else time.monotonic() + seconds,
-                       max_explored=settings.get("max-explored"))
+                       deadline=None if seconds is None else time.monotonic() + seconds)
     n_range = _parse_range(args.n_range) if args.n_range else None
     params = {}
     for kv in args.param:
@@ -342,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=_positive_int, default=1)
     p.add_argument("--witness-cap", type=_positive_int, default=DEFAULT_WITNESS_CAP)
     p.add_argument("--budget-seconds", type=_seconds)
-    p.add_argument("--max-explored", type=_explored_cap)
     p.add_argument("--force", action="store_true",
                    help=f"lift the default host-size cap of {DEFAULT_N_CAP}")
     p.set_defaults(fn=_cmd_search)
@@ -365,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-cap", type=_positive_int,
                    help=f"default: the config file's, else {DEFAULT_WITNESS_CAP}")
     p.add_argument("--budget-seconds", type=_seconds)
-    p.add_argument("--max-explored", type=_explored_cap)
     p.add_argument("--config", help="plain key=value config file; keys: "
                                     + ", ".join(CONFIG_KEYS))
     p.add_argument("--workers", type=_positive_int,

@@ -4,7 +4,8 @@ A GraphSpec names a graph symbolically: leaves are K_r, C_l, K_{a,b}, the
 Turan graph T_r(n) and the edgeless graph; combinators are join, disjoint
 union, k-fold copies and single-vertex deletion.  `GraphSpec.build` evaluates
 a spec with the `graphs` constructors, which check every size and parameter;
-a value they refuse is a SpecError naming the expression.
+a value they refuse is a SpecError naming the expression.  The parser refuses
+an expression nesting more than MAX_DEPTH combinators deep.
 
 Text forms accepted by the CLI:
 
@@ -190,6 +191,12 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
     return tokens
 
 
+# The most combinators (join, union, del, k*) an expression may nest, one
+# inside another.  The parser and `build` recurse once per level, so a
+# deeper expression is refused before it could exhaust Python's stack.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, object]], text: str):
         self.tokens = tokens
@@ -212,17 +219,21 @@ class _Parser:
             raise SpecError(f"expected {kind!r}, got {tok[1]!r} in {self.text!r}")
         return tok[1]
 
-    def parse_spec(self) -> GraphSpec:
+    def parse_spec(self, depth: int = 0) -> GraphSpec:
+        """An expression inside `depth` combinators."""
+        if depth > MAX_DEPTH:
+            raise SpecError(f"graph spec nests more than {MAX_DEPTH} "
+                            f"combinators deep")
         tok = self.peek()
         if tok is None:
             raise SpecError(f"empty graph spec in {self.text!r}")
         if tok[0] == "int":
             k = int(self.next()[1])  # type: ignore[arg-type]
             self.expect("*")
-            return Copies(k, self.parse_spec())
-        return self.parse_atom()
+            return Copies(k, self.parse_spec(depth + 1))
+        return self.parse_atom(depth)
 
-    def parse_atom(self) -> GraphSpec:
+    def parse_atom(self, depth: int) -> GraphSpec:
         kind, value = self.next()
         if kind == "kab":
             a, b = value  # type: ignore[misc]
@@ -241,13 +252,13 @@ class _Parser:
                 r = int(self.expect("int"))  # type: ignore[arg-type]
                 self.expect(")")
                 return Turan(n, r)
-            left = self.parse_spec()
+            left = self.parse_spec(depth + 1)
             self.expect(",")
             if value == "del":
                 v = int(self.expect("int"))  # type: ignore[arg-type]
                 self.expect(")")
                 return DeleteVertex(left, v)
-            right = self.parse_spec()
+            right = self.parse_spec(depth + 1)
             self.expect(")")
             if value == "join":
                 return Join(left, right)

@@ -156,17 +156,6 @@ def max_disjoint_packing(g: Graph, f: Graph) -> Packing:
     return Packing(tuple(tuple(_bits(m)) for m in chosen))
 
 
-def greedy_packing(g: Graph, f: Graph) -> Packing:
-    """First-fit packing over ascending copy vertex sets; a fast lower bound."""
-    chosen: list[int] = []
-    used = 0
-    for m in copy_vertex_sets(g, f):
-        if m & used == 0:
-            chosen.append(m)
-            used |= m
-    return Packing(tuple(tuple(_bits(m)) for m in chosen))
-
-
 def is_kF_free(g: Graph, k: int, f: Graph) -> bool:
     """True when g has no k pairwise vertex-disjoint copies of f."""
     if k < 1:

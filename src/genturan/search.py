@@ -29,11 +29,11 @@ value known so far: at the last level, every child whose value is below it,
 before the child is built; and, when every term counts cliques, every graph
 whose clique-term bound, taken from its allowed neighbour sets and from the
 binomials C(p, j) that cap the j-cliques of any p-vertex graph, is below it,
-at every level.  A bounded search with no host cap and no shard seeds the
-incumbent from the (n-1) problem's witnesses, each joined to a new vertex;
-a deadline changes only when a search stops.  The maximum, the extremal
-count and the witnesses are those of the full walk, but only the hosts that
-can still reach the incumbent are evaluated.
+at every level.  Every search that is not a shard is cached, and every
+such bounded search seeds the incumbent from the (n-1) problem's witnesses,
+each joined to a new vertex; a deadline changes only when a search stops.
+The maximum, the extremal count and the witnesses are those of the full
+walk, but only the hosts that can still reach the incumbent are evaluated.
 """
 
 from __future__ import annotations
@@ -201,8 +201,7 @@ def clear_cache() -> None:
 
 
 class _Stop(Exception):
-    """Ends a search's walk: the deadline has passed, or `max_explored`
-    hosts have been evaluated."""
+    """Ends a search's walk: the deadline has passed."""
 
 
 def _value(objective: Objective, g: Graph, token) -> int:
@@ -340,7 +339,6 @@ def _seed(problem: SearchProblem, witness_cap: int,
 def brute_force_ex(problem: SearchProblem, *,
                    witness_cap: int = DEFAULT_WITNESS_CAP,
                    deadline: float | None = None,
-                   max_explored: int | None = None,
                    bounded: bool = False,
                    shard: tuple[int, int] | None = None) -> ExtremalResult:
     """Exact maximum of the objective over all family-free n-vertex graphs.
@@ -349,21 +347,21 @@ def brute_force_ex(problem: SearchProblem, *,
     the 0-vertex graph is counted from scratch, and a host's witness label
     is the certificate its acceptance test computed.
 
-    A `deadline`, a `time.monotonic()` instant, and a host cap
-    `max_explored` stop the search one way: each raises `_Stop`, which ends
-    the walk, and the search returns the best value seen with
-    exhaustive=False.  The cap is checked before each host is evaluated,
-    the deadline between hosts and once per graph below level n, so a walk
-    that yields nothing for a while still stops.  The deadline changes
-    nothing else: a search under a deadline is cached and seeded like one
-    without, and its exhaustive result is the same.
+    A `deadline`, a `time.monotonic()` instant, is the one budget: once it
+    has passed, `_Stop` ends the walk and the search returns the best value
+    seen with exhaustive=False.  It is checked between hosts and once per
+    graph below level n, so a walk that yields nothing for a while still
+    stops.  The deadline changes nothing else: a search under a deadline is
+    cached and seeded like one without, and its exhaustive result is the
+    same.
 
     `shard=(i, parts)` walks shard i of `parts`: the graphs at level
     min(n-1, 5) (the one host when n = 0) are dealt round-robin in walk
     order, and the walk skips each one whose position at that level is not
     i mod parts, with all below it.  The shards partition the hosts, and
-    `merge` of their results is the unsharded result.  A shard is not
-    cached.
+    `merge` of their results is the unsharded result.  A shard is neither
+    cached nor seeded; every other search reads the result cache and writes
+    its exhaustive result there.
 
     With `bounded`, the walk drops what cannot reach the incumbent, the best
     value known so far:
@@ -377,9 +375,9 @@ def brute_force_ex(problem: SearchProblem, *,
       of the graph, then over its allowed sets, so a graph dropped by the
       first never has its blocked sets found.  A shard applies it only from
       its shard level down, so that every shard deals the same graphs.
-    Unless `max_explored` or a shard caps the search, the incumbent starts
-    at `_seed`, whose (n-1) search ends early only once the deadline has
-    passed, and then this walk stops at its first graph.  A walk cut short
+    Unless the search is a shard, the incumbent starts at `_seed`, whose
+    (n-1) search ends early only once the deadline has passed, and then
+    this walk stops at its first graph.  A walk cut short
     before any host reaches the seed reports the seed's host.  The
     incumbent never exceeds the final maximum, so every extremal class is
     still produced exactly once: `value`, `num_extremal`, `witnesses` and
@@ -389,8 +387,6 @@ def brute_force_ex(problem: SearchProblem, *,
     `search` result line report."""
     if witness_cap < 1:
         raise ValueError(f"witness_cap must be >= 1, got {witness_cap}")
-    if max_explored is not None and max_explored < 0:
-        raise ValueError(f"max_explored must be >= 0, got {max_explored}")
     if deadline is not None and isnan(deadline):
         raise ValueError(f"deadline must be a number, got {deadline}")
     # The clique-term bound drops graphs from this level down.
@@ -405,7 +401,7 @@ def brute_force_ex(problem: SearchProblem, *,
         lowest = max(1, depth)
     key = _problem_key(problem)
     cache_key = key + (witness_cap, bounded)
-    cacheable = max_explored is None and shard is None
+    cacheable = shard is None
     if cacheable:
         hit = _cache.get(cache_key)
         if hit is not None:
@@ -464,8 +460,6 @@ def brute_force_ex(problem: SearchProblem, *,
             if shard is not None and elsewhere(g):
                 continue
             stop_at_deadline()
-            if max_explored is not None and explored >= max_explored:
-                raise _Stop
             explored += 1
             value = _value(objective, g, token)
             if best is not None and value < best:
@@ -555,30 +549,6 @@ def serialize_problem(problem: SearchProblem) -> str:
     if problem.forbidden:
         parts.append("forbid=" + ",".join(encode_graph6(f) for f in problem.forbidden))
     return " ".join(parts)
-
-
-def parse_problem(text: str) -> SearchProblem:
-    fields: dict[str, str] = {}
-    for token in text.split():
-        if "=" not in token:
-            raise ValueError(f"bad problem token {token!r}")
-        key, _, value = token.partition("=")
-        if key not in ("n", "objective", "pattern", "k", "forbid"):
-            raise ValueError(f"unknown problem key {key!r}")
-        if key in fields:
-            raise ValueError(f"repeated problem key {key!r}")
-        fields[key] = value
-    try:
-        n = int(fields["n"])
-        kind = fields["objective"]
-    except KeyError as exc:
-        raise ValueError(f"problem descriptor missing {exc}") from exc
-    pattern = decode_graph6(fields["pattern"]) if "pattern" in fields else None
-    k = int(fields["k"]) if "k" in fields else None
-    objective = Objective(kind, pattern=pattern, k=k)
-    forbidden = tuple(decode_graph6(t) for t in fields["forbid"].split(",")) \
-        if fields.get("forbid") else ()
-    return SearchProblem(n, forbidden, objective)
 
 
 def result_line(problem: SearchProblem, result: ExtremalResult) -> str:

@@ -57,7 +57,6 @@ class VerifyConfig:
 
     witness_cap: int = DEFAULT_WITNESS_CAP
     deadline: float | None = None
-    max_explored: int | None = None
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def _graph_param(params: dict, key: str) -> Graph:
 def _brute(n: int, forbidden: tuple[Graph, ...], objective: Objective,
            cfg: VerifyConfig) -> ExtremalResult:
     return brute_force_ex(SearchProblem(n, forbidden, objective), witness_cap=cfg.witness_cap,
-                          deadline=cfg.deadline, max_explored=cfg.max_explored, bounded=True)
+                          deadline=cfg.deadline, bounded=True)
 
 
 def _verdict(ok: bool, certified: bool) -> str:

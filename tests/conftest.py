@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import os
 import random
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,20 @@ from genturan.graphs import Graph, turan_part_sizes
 # copy count), or a deleted vertex outside the graph.
 MALFORMED_SPECS = ("C2", "T(3,4)", "0*K2", "30*K3", "100*K1", "K65", "join(K40,K30)",
                    "del(K4, 9)", "del(E0, 0)", "T(1000000,1000000)")
+
+
+def nested_specs(depth: int) -> dict[str, str]:
+    """An expression of each shape nesting `depth` combinators deep, each
+    building the same graph at any depth: joins and unions of E0, and copy
+    counts 1* of K1."""
+    return {"join": "join(E0, " * depth + "E0" + ")" * depth,
+            "union": "union(E0, " * depth + "E0" + ")" * depth,
+            "copies": "1*" * depth + "K1"}
+
+
+# Nesting depths, by shape, far past gspec.MAX_DEPTH: deep enough to
+# overflow Python's stack in a recursive parser with no depth limit.
+DEEP_NESTING = {"join": 600, "union": 600, "copies": 3000}
 
 
 def package_env() -> dict[str, str]:
@@ -127,17 +141,40 @@ def naive_orbits(g: Graph) -> list[set[int]]:
     return orbits
 
 
+def first_hosts_search(k: int):
+    """A stand-in for `verify.brute_force_ex`: a partial search that
+    evaluates only the first k hosts of `enumerate_graphs`.  It reports their
+    maximum, its canonical witnesses and extremal count, and exhaustive=False
+    unless the walk holds no more than k hosts.  It reads no cache, takes no
+    seed and ignores the deadline, so it is the same partial search on every
+    run."""
+    from genturan.graph6 import encode_graph6
+    from genturan.graphs import canonical_graph, enumerate_graphs
+    from genturan.search import DEFAULT_WITNESS_CAP, ExtremalResult, _problem_key
+
+    def search(problem, *, witness_cap=DEFAULT_WITNESS_CAP, **_):
+        hosts = list(islice(enumerate_graphs(problem.n, problem.forbidden), k + 1))
+        values = [problem.objective.evaluate(g) for g in hosts[:k]]
+        top = max(values, default=None)
+        witnesses = sorted({encode_graph6(canonical_graph(g))
+                            for g, value in zip(hosts, values) if value == top})
+        return ExtremalResult(problem.n, top, tuple(witnesses[:witness_cap]),
+                              values.count(top), len(values), len(hosts) <= k,
+                              _problem_key(problem))
+    return search
+
+
 def registry_usage() -> tuple[list[tuple[Graph, ...]], list[Graph]]:
     """The distinct forbidden families the verify registry searches, and the
     patterns whose automorphisms or orbits its counting and freeness prune
-    read, recorded from one run of every check with a one-host budget."""
+    read, recorded from one run of every check with one-host searches."""
     problems, patterns = _registry_run()
     return list(dict.fromkeys(p.forbidden for p in problems)), patterns
 
 
 def registry_problems() -> list:
     """The distinct search problems the verify registry issues, in the order
-    of a one-host-budget run of every check."""
+    of a run of every check with one-host searches."""
     return _registry_run()[0]
 
 
@@ -154,11 +191,11 @@ def _registry_run() -> tuple[list, list[Graph]]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "brute_force_ex", recorded(
-            verify.brute_force_ex, problems, lambda problem: problem))
+            first_hosts_search(1), problems, lambda problem: problem))
         for name in ("automorphism_count", "_orbit_representatives"):
             mp.setattr(counting, name, recorded(
                 getattr(counting, name), patterns, lambda h: h))
-        verify.run_all(verify.VerifyConfig(max_explored=1))
+        verify.run_all()
     return list(problems), list(patterns)
 
 

@@ -7,14 +7,15 @@ import time
 
 import pytest
 
+from genturan import search
 from genturan.cli import main
 from genturan.constructions import f_star
 from genturan.graph6 import decode_graph6, encode_graph6
 from genturan.graphs import (are_isomorphic, canonical_graph, complete,
                              complete_bipartite, enumerate_graphs, join, turan)
-from genturan.gspec import parse_spec
+from genturan.gspec import MAX_DEPTH, parse_spec
 
-from conftest import MALFORMED_SPECS
+from conftest import DEEP_NESTING, MALFORMED_SPECS, nested_specs
 
 
 def run_cli(capsys, *argv):
@@ -159,11 +160,13 @@ def test_search_objective_field_it_ignores_usage_error(capsys, argv, field):
     assert f"takes no {field}" in err
 
 
-def test_shards_share_the_explored_budget(capsys):
+def test_shards_share_one_deadline(capsys):
+    # Every shard stops at the one deadline, which has passed before the
+    # first shard starts, so no shard evaluates a host.
     code, out, _ = run_cli(capsys, "search", "edges", "--n", "8", "--forbid", "K3",
-                           "--max-explored", "10", "--shards", "4")
-    explored = int(out.split("explored=")[1].split()[0])
-    assert code == 0 and explored <= 10 and "exhaustive=false" in out
+                           "--budget-seconds", "0", "--shards", "4")
+    assert code == 0
+    assert " | value=none num_extremal=0 explored=0 exhaustive=false " in out
 
 
 def test_enumerate_counts(capsys):
@@ -212,7 +215,7 @@ def test_search_host_size_usage_error(capsys, argv, message):
 
 def test_search_force_lifts_the_cap(capsys):
     code, out, _ = run_cli(capsys, "search", "edges", "--n", "11", "--forbid", "K3",
-                           "--force", "--max-explored", "3")
+                           "--force", "--budget-seconds", "0")
     assert code == 0 and out.startswith("n=11 ") and "exhaustive=false" in out
 
 
@@ -265,6 +268,21 @@ def test_malformed_spec_usage_error(capsys, spec):
     assert code == 2 and "not a graph spec or graph6 string" in err
 
 
+@pytest.mark.parametrize("shape", sorted(DEEP_NESTING))
+def test_deeply_nested_spec_usage_error(capsys, shape):
+    # Too deep a graph argument is a usage error naming the limit, not a
+    # RecursionError; an expression at the limit still builds.
+    spec = nested_specs(DEEP_NESTING[shape])[shape]
+    for argv in (["count", "--host", spec, "--pattern", "K1"],
+                 ["verify", "thm2.4", "--n-range", "7..7", "--param", f"f={spec}"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert f"graph spec nests more than {MAX_DEPTH} combinators deep" in err
+    code, out, _ = run_cli(capsys, "count", "--host", nested_specs(MAX_DEPTH)[shape],
+                           "--pattern", "K1")
+    assert (code, out) == (0, "1\n" if shape == "copies" else "0\n")
+
+
 def test_bad_range_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "prop6.1", "--n-range", "x..y")
     assert code == 2
@@ -286,9 +304,11 @@ def test_missing_subcommand_usage(capsys):
     assert main([]) == 2
 
 
-def test_config_file(capsys, tmp_path):
+def test_config_file(capsys, tmp_path, monkeypatch):
+    # An empty cache, so that the budget is what decides the verdicts.
+    monkeypatch.setattr(search, "_cache", {})
     cfg = tmp_path / "verify.cfg"
-    cfg.write_text("# settings\nmax-explored=3\n")
+    cfg.write_text("# settings\nbudget-seconds=0\n")
     code, out, _ = run_cli(capsys, "verify", "erdos", "--n-range", "6..6",
                            "--config", str(cfg))
     assert code == 0
@@ -323,10 +343,25 @@ def test_verify_repeated_param_usage_error(capsys):
 
 def test_config_unknown_key_usage_error(capsys, tmp_path):
     cfg = tmp_path / "verify.cfg"
-    cfg.write_text("max-explored=3\nwitness_cap=4\n")
+    cfg.write_text("workers=1\nwitness_cap=4\n")
     code, _, err = run_cli(capsys, "verify", "erdos", "--n-range", "5..5",
                            "--config", str(cfg))
     assert code == 2 and "unknown config key 'witness_cap'" in err
+
+
+@pytest.mark.parametrize("surface", ["search", "verify", "config"])
+def test_host_cap_is_refused(capsys, tmp_path, surface):
+    # The deadline is the one search budget: the old host cap is refused on
+    # every surface, never silently ignored.
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("max-explored=3\n")
+    argv = {"search": ["search", "edges", "--n", "5", "--forbid", "K3", "--max-explored", "3"],
+            "verify": ["verify", "erdos", "--n-range", "5..5", "--max-explored", "3"],
+            "config": ["verify", "erdos", "--n-range", "5..5", "--config", str(cfg)]}[surface]
+    code, out, err = run_cli(capsys, *argv)
+    message = ("unknown config key 'max-explored'" if surface == "config"
+               else "unrecognized arguments: --max-explored 3")
+    assert (code, out) == (2, "") and message in err
 
 
 def test_witness_cap_command_line_then_file_then_default(capsys, tmp_path, monkeypatch):
@@ -365,14 +400,10 @@ def test_counts_below_one_usage_error(capsys, argv, option):
 
 
 @pytest.mark.parametrize("argv,option,expected", [
-    (["search", "edges", "--n", "5", "--forbid", "K3", "--max-explored", "-1"],
-     "--max-explored", "an integer >= 0"),
     (["search", "edges", "--n", "5", "--forbid", "K3", "--budget-seconds", "-1"],
      "--budget-seconds", "a number >= 0"),
     (["search", "edges", "--n", "5", "--forbid", "K3", "--budget-seconds", "nan"],
      "--budget-seconds", "a number >= 0"),
-    (["verify", "erdos", "--n-range", "5..5", "--max-explored", "-5"],
-     "--max-explored", "an integer >= 0"),
     (["verify", "erdos", "--n-range", "5..5", "--budget-seconds", "nan"],
      "--budget-seconds", "a number >= 0"),
 ])
@@ -384,8 +415,7 @@ def test_negative_budget_usage_error(capsys, argv, option, expected):
 
 @pytest.mark.parametrize("line,key", [
     ("witness-cap=0", "witness-cap"), ("workers=-3", "workers"),
-    ("budget-seconds=abc", "budget-seconds"), ("max-explored=1.5", "max-explored"),
-    ("max-explored=-5", "max-explored"), ("budget-seconds=-1", "budget-seconds"),
+    ("budget-seconds=abc", "budget-seconds"), ("budget-seconds=-1", "budget-seconds"),
     ("budget-seconds=nan", "budget-seconds"),
 ])
 def test_config_bad_value_usage_error(capsys, tmp_path, line, key):

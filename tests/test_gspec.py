@@ -22,7 +22,7 @@ from genturan.gspec import (Complete, CompleteBipartite, Copies, Cycle,
                             DeleteVertex, DisjointUnion, Empty, Join,
                             SpecError, Turan, parse_spec, parse_spec_list)
 
-from conftest import MALFORMED_SPECS
+from conftest import DEEP_NESTING, MALFORMED_SPECS, nested_specs
 
 
 def test_build_spec_examples():
@@ -133,6 +133,22 @@ def test_parse_errors():
     for bad in ["", "K", "Q5", "join(K3)", "2*", "K3)", "del(K4, x)", "K3 C4"]:
         with pytest.raises(SpecError):
             parse_spec(bad)
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_NESTING))
+def test_nesting_depth_is_capped(shape):
+    # One combinator past the limit is a SpecError naming it, as is the depth
+    # that once overflowed the stack, in a single spec or a list; the limit
+    # itself still parses and builds.
+    at_limit = nested_specs(gspec.MAX_DEPTH)[shape]
+    assert parse_spec(at_limit).build() == (complete(1) if shape == "copies" else empty_graph(0))
+    assert len(parse_spec_list(f"{at_limit},K3")) == 2
+    for depth in (gspec.MAX_DEPTH + 1, DEEP_NESTING[shape]):
+        text = nested_specs(depth)[shape]
+        for parse in (parse_spec, parse_spec_list):
+            with pytest.raises(SpecError, match=f"nests more than {gspec.MAX_DEPTH} "
+                                                f"combinators deep"):
+                parse(text)
 
 
 def _leaf_strategy():

@@ -11,8 +11,8 @@ from genturan.graphs import (Graph, complete, complete_bipartite, copies,
                              cycle, disjoint_union, empty_graph, from_edges,
                              join, turan)
 from genturan.packing import (canonical_partition, copy_vertex_sets,
-                              greedy_packing, is_kF_free,
-                              max_disjoint_packing, max_packing_size)
+                              is_kF_free, max_disjoint_packing,
+                              max_packing_size)
 
 from conftest import naive_copy_vertex_sets, naive_max_packing, random_graph
 
@@ -137,19 +137,6 @@ def test_packing_deterministic_and_lex_least():
     p2 = max_disjoint_packing(g, K3)
     assert p1 == p2
     assert p1.copies == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-
-
-def test_greedy_never_beats_exact():
-    rng = random.Random(43)
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        f = rng.choice([K3, complete(2), cycle(4)])
-        assert greedy_packing(g, f).size <= max_packing_size(g, f)
-
-
-def test_greedy_empty_when_host_free():
-    assert greedy_packing(turan(9, 2), K3).size == 0
 
 
 def test_pattern_with_isolated_vertex_packs_spares():

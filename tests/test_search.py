@@ -25,7 +25,7 @@ from genturan.graphs import (Graph, add_vertex, automorphism_count, canonical_ce
                              turan)
 from genturan.packing import FreenessPrune
 from genturan.search import (ExtremalResult, Objective, SearchProblem,
-                             brute_force_ex, merge, parse_problem, result_line,
+                             brute_force_ex, merge, result_line,
                              serialize_problem)
 
 from conftest import (all_labeled_graphs, every_subset_walk,
@@ -272,24 +272,12 @@ def test_witness_cap_below_one_rejected(cap):
         merge([brute_force_ex(problem)], witness_cap=cap)
 
 
-@pytest.mark.parametrize("budget", [dict(max_explored=-1),
-                                    dict(max_explored=-1, deadline=0.0),
-                                    dict(deadline=float("nan"))])
-def test_negative_budget_rejected(budget):
-    # A deadline already passed is legal (the search stops at once), but it
-    # does not excuse a negative max_explored.
+def test_nan_deadline_rejected():
+    # A deadline already passed is legal (the search stops at once); one
+    # that is not a number is refused.
     problem = SearchProblem(5, (K3,), Objective.edges())
-    match = ("max_explored must be >= 0" if "max_explored" in budget
-             else "deadline must be a number")
-    with pytest.raises(ValueError, match=match):
-        brute_force_ex(problem, **budget)
-
-
-def test_budget_marks_non_exhaustive():
-    r = brute_force_ex(SearchProblem(6, (), Objective.edges()), max_explored=10)
-    assert not r.exhaustive
-    assert r.explored == 10
-    assert r.value is not None
+    with pytest.raises(ValueError, match="deadline must be a number"):
+        brute_force_ex(problem, deadline=float("nan"))
 
 
 def test_infeasible_problem_returns_none():
@@ -360,42 +348,26 @@ def test_shard_counts_partition_explored():
     assert sum(r.explored for r in results) == full.explored == 156
 
 
-def test_problem_serialization_roundtrip():
+def test_problem_serialization_pinned():
     problem = SearchProblem(7, (K3, cycle(4)), Objective.copies(complete(4)))
-    assert parse_problem(serialize_problem(problem)) == problem
+    assert serialize_problem(problem) == "n=7 objective=copies pattern=C~ forbid=Bw,Cl"
     star = SearchProblem(6, (cycle(5),), Objective.exstar(3))
-    assert parse_problem(serialize_problem(star)) == star
+    assert serialize_problem(star) == "n=6 objective=exstar k=3 forbid=Dhc"
     line = result_line(problem, brute_force_ex(problem))
     assert line.startswith("n=7 ") and "value=" in line
 
 
-@pytest.mark.parametrize("key", ["bogus", "root_level", "roots"])
-def test_parse_problem_rejects_unknown_keys(key):
-    with pytest.raises(ValueError, match=repr(key)):
-        parse_problem(f"n=5 objective=edges forbid=Bw {key}=1")
-
-
-@pytest.mark.parametrize("text,key", [
-    ("n=5 objective=edges n=6", "n"),
-    ("n=5 objective=edges forbid=Bw forbid=Bw", "forbid"),
-    ("n=5 objective=exstar k=2 k=3", "k"),
+@pytest.mark.parametrize("kind,fields,field", [
+    ("edges", dict(k=3, pattern=complete(2)), "pattern"),
+    ("edges", dict(pattern=complete(2)), "pattern"),
+    ("exstar", dict(k=3, pattern=complete(2)), "pattern"),
+    ("edges", dict(k=3), "k"),
+    ("copies", dict(pattern=complete(2), k=3), "k"),
+    ("exbar", dict(pattern=complete(2), k=3), "k"),
 ])
-def test_parse_problem_rejects_repeated_keys(text, key):
-    with pytest.raises(ValueError, match=f"repeated problem key {key!r}"):
-        parse_problem(text)
-
-
-@pytest.mark.parametrize("text,field", [
-    ("n=5 objective=edges k=3 pattern=A_", "pattern"),
-    ("n=5 objective=edges pattern=A_", "pattern"),
-    ("n=5 objective=exstar k=3 pattern=A_", "pattern"),
-    ("n=5 objective=edges k=3", "k"),
-    ("n=5 objective=copies pattern=A_ k=3", "k"),
-    ("n=5 objective=exbar pattern=A_ k=3", "k"),
-])
-def test_objective_rejects_fields_its_kind_ignores(text, field):
+def test_objective_rejects_fields_its_kind_ignores(kind, fields, field):
     with pytest.raises(ValueError, match=f"takes no {field}"):
-        parse_problem(text)
+        Objective(kind, **fields)
 
 
 def test_caches_drop_the_oldest_key_past_their_limit(monkeypatch):
@@ -636,12 +608,13 @@ def test_clique_bound_covers_every_descendant():
             assert seed is None or seed <= top, serialize_problem(p)
 
 
-def test_capped_bounded_search_starts_no_helper_search(monkeypatch):
-    # A host cap or a shard leaves out the seed, so a capped bounded search
-    # is one search, with the full search's maximum.  Its clique-term bound
-    # needs no helper search and stays on: each capped search builds fewer
-    # attachment tables than with the bound switched off.  A deadline is no
-    # cap (`test_deadline_leaves_the_search_unchanged`).
+def test_sharded_bounded_search_starts_no_helper_search(monkeypatch):
+    # A shard leaves out the seed, so a sharded bounded search is one
+    # search, and the shards merge to the full search's maximum.  Its
+    # clique-term bound needs no helper search and stays on: each shard
+    # builds fewer attachment tables than with the bound switched off.  An
+    # unsharded search is seeded, under a deadline or not
+    # (`test_deadline_leaves_the_search_unchanged`).
     problem = SearchProblem(7, (copies(2, K3),), Objective.edges())
     calls = []
     tables = []
@@ -659,7 +632,7 @@ def test_capped_bounded_search_starts_no_helper_search(monkeypatch):
     full = real(problem)
     expected = (full.value, full.num_extremal, full.witnesses)
     parts = []
-    for kwargs in ({"max_explored": 10 ** 9}, {"shard": (0, 2)}, {"shard": (1, 2)}):
+    for kwargs in ({"shard": (0, 2)}, {"shard": (1, 2)}):
         calls.clear()
         tables.clear()
         r = search.brute_force_ex(problem, bounded=True, **kwargs)
@@ -670,12 +643,9 @@ def test_capped_bounded_search_starts_no_helper_search(monkeypatch):
             m.setattr(search, "_clique_coefficients", lambda problem: None)
             plain = search.brute_force_ex(problem, bounded=True, **kwargs)
         assert with_bound < len(tables), kwargs
-        got = (r.value, r.num_extremal, r.witnesses)
-        assert got == (plain.value, plain.num_extremal, plain.witnesses)
-        if "shard" in kwargs:
-            parts.append(r)
-        else:
-            assert got == expected
+        assert (r.value, r.num_extremal, r.witnesses) == \
+            (plain.value, plain.num_extremal, plain.witnesses)
+        parts.append(r)
     merged = merge(parts)
     assert (merged.value, merged.num_extremal, merged.witnesses) == expected
     assert len(search._cache) == 1

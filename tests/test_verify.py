@@ -9,9 +9,10 @@ import pytest
 from genturan import verify
 from genturan.verify import (CSV_HEADER, FAIL, HypothesisError, PASS,
                              REPORTED, TheoremCheck, UnknownCheckError,
-                             VerifyConfig, check_summary, emit_report,
-                             registry_ids, report_csv, report_table,
-                             run_all, run_check)
+                             check_summary, emit_report, registry_ids,
+                             report_csv, report_table, run_all, run_check)
+
+from conftest import first_hosts_search
 
 EXPECTED_IDS = {
     "erdos", "thm1.1-gorgol", "thm2.1", "thm2.2", "thm2.4", "thm2.7",
@@ -83,29 +84,30 @@ def test_ratio_rows_never_fail():
     assert all(r.verdict == REPORTED for r in ratio_rows)
 
 
-def test_budgeted_check_reports_inconclusive_not_fail():
-    cfg = VerifyConfig(max_explored=3)
-    chk = run_check("erdos", {"s": 2, "t": 3}, (6, 7), cfg)
+def test_budgeted_check_reports_inconclusive_not_fail(monkeypatch):
+    monkeypatch.setattr(verify, "brute_force_ex", first_hosts_search(3))
+    chk = run_check("erdos", {"s": 2, "t": 3}, (6, 7))
     verdicts = {r.verdict for r in chk.rows}
     assert FAIL not in verdicts
     assert "inconclusive" in verdicts
 
 
 @pytest.mark.parametrize("cid", registry_ids())
-def test_budgeted_checks_never_fail(cid):
+def test_budgeted_checks_never_fail(cid, monkeypatch):
     # A partial search must never turn into a fail verdict, for any check.
     lo = verify._REGISTRY[cid].default_range[0]
-    for max_explored in (1, 3):
-        chk = run_check(cid, None, (lo, lo + 1),
-                        VerifyConfig(max_explored=max_explored))
-        assert FAIL not in {r.verdict for r in chk.rows}
+    for k in (1, 3):
+        monkeypatch.setattr(verify, "brute_force_ex", first_hosts_search(k))
+        chk = run_check(cid, None, (lo, lo + 1))
+        assert FAIL not in {r.verdict for r in chk.rows}, k
 
 
 @pytest.mark.parametrize("cid", ["thm1.1-gorgol", "prop6.3"])
-def test_uncertified_upper_bounds_inconclusive(cid):
+def test_uncertified_upper_bounds_inconclusive(cid, monkeypatch):
     # A partial maximum is only a lower bound, so it cannot pass an upper bound.
+    monkeypatch.setattr(verify, "brute_force_ex", first_hosts_search(1))
     lo = verify._REGISTRY[cid].default_range[0]
-    chk = run_check(cid, None, (lo, lo), VerifyConfig(max_explored=1))
+    chk = run_check(cid, None, (lo, lo))
     sandwich = [r.verdict for r in chk.rows if r.mode == "Sandwich"]
     assert sandwich and set(sandwich) == {"inconclusive"}
 
