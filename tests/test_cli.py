@@ -400,9 +400,13 @@ def test_counts_below_one_usage_error(capsys, argv, option):
 
 
 @pytest.mark.parametrize("argv,option,expected", [
+    (["verify", "erdos", "--n-range", "5..5", "--budget-seconds", "-1"],
+     "--budget-seconds", "a number >= 0"),
     (["search", "edges", "--n", "5", "--forbid", "K3", "--budget-seconds", "-1"],
      "--budget-seconds", "a number >= 0"),
     (["search", "edges", "--n", "5", "--forbid", "K3", "--budget-seconds", "nan"],
+     "--budget-seconds", "a number >= 0"),
+    (["search", "edges", "--n", "5", "--forbid", "K3", "--budget-seconds", "abc"],
      "--budget-seconds", "a number >= 0"),
     (["verify", "erdos", "--n-range", "5..5", "--budget-seconds", "nan"],
      "--budget-seconds", "a number >= 0"),
