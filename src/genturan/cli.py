@@ -21,7 +21,7 @@ from .graph6 import Graph6Error, decode_graph6, encode_graph6
 # canonical_graph is not called here; it stays importable from this
 # module, where the benchmark's spans wrap it.
 from .graphs import Graph, _keep_all, canonical_graph, enumerate_graphs
-from .gspec import SpecError, parse_spec, parse_spec_list
+from .gspec import SpecError, parse_spec, parse_spec_list, quote
 from .packing import canonical_partition, max_disjoint_packing
 from .search import (DEFAULT_WITNESS_CAP, Objective, SearchProblem,
                      brute_force_ex, merge, result_line)
@@ -49,7 +49,7 @@ def _read_graph(text: str) -> Graph:
         try:
             return decode_graph6(text)
         except Graph6Error:
-            raise UsageError(f"not a graph spec or graph6 string: {text!r} "
+            raise UsageError(f"not a graph spec or graph6 string: {quote(text)} "
                              f"({spec_err})") from spec_err
 
 

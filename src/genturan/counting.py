@@ -14,6 +14,16 @@ intersections as early as possible.  The same search counts copies and
 induced copies, stops at a first hit for freeness tests, counts copies by
 how they meet a vertex set, and collects copy vertex sets for packing.
 
+Each of those modes finds a copy from its lowest vertex (`_lowest_maps`,
+after Grochow and Kellis's symmetry breaking, RECOMB 2007): the plan of each
+Aut(H) orbit representative p pins p to a host vertex u and maps the rest
+above u, and its count is weighted by |orbit(p)|, so every copy still adds
+exactly |Aut(H)| maps and the division by |Aut(H)| stays a real check, while
+the walk reaches each copy |Aut(H)|/|orbit(p)| times instead of |Aut(H)|
+(twice for C5 rather than 10 times).  `count_injections`
+alone walks every map, so `automorphism_count(g) == count_injections(g, g)`
+is an independent check of the group order.
+
 A plain or meeting count of a disconnected pattern does not enumerate its
 tail.  The plan maps isolated vertices last and K2 components just before
 them, so once only isolated vertices and at most one final K2 remain, their
@@ -21,7 +31,9 @@ maps into the host minus the used vertices U have a closed form
 (`_tail_maps`): a falling factorial of the free vertices, times 2·e(G−U)
 for the edge, split in meeting mode by how many of the tail's vertices land
 in the meet set.  A pattern made only of such parts (iK1, K2, K2+iK1) is
-one product.  Every other mode needs each map's image and still enumerates
+one product.  Such a pattern keeps its all-maps head: the closed form
+counts the tail's maps into every unused vertex, not only those above a
+lowest one.  Every other mode needs each map's image and still enumerates
 the whole pattern: the packing's vertex sets (`found`), the first hit of a
 freeness test (`limit`), the attach sets of an anchored tally (`attach`),
 and induced plans, whose isolated vertices must also avoid the
@@ -30,8 +42,10 @@ to an anchor vertex, it also tallies the maps by their attach set and body:
 the enumerator's blocked neighbour sets are built from the keys
 (`packing.FreenessPrune`), and from the counts the attachment table of a
 weighted sum of patterns, which gives an extremal search the value change of
-every one-vertex extension (`attachment_table`).  |Aut(H)| and the pattern's
-vertex orbits come from the graphs module's canonical search.
+every one-vertex extension (`attachment_table`).  The anchor there is the
+new vertex, not the copy's lowest, so that tally walks every map through
+it.  |Aut(H)| and the pattern's vertex orbits come from the graphs module's
+canonical search.
 """
 
 from __future__ import annotations
@@ -165,10 +179,32 @@ def _tail_maps(g: Graph, tail: tuple[int, int], meet: int, target: int):
     return maps
 
 
-def _anchored_plans(h: Graph) -> list[_Plan]:
+def _anchored_plans(h: Graph, induced: bool = False) -> list[_Plan]:
     """The plans that find every copy of h through an anchor vertex: one
     plan per orbit representative, mapped first."""
-    return [_pattern_plan(h, p) for p in _orbit_representatives(h)]
+    return [_pattern_plan(h, p, induced) for p in _orbit_representatives(h)]
+
+
+def _lowest_maps(g: Graph, h: Graph, induced: bool = False, limit: int | None = None,
+                 meet_mask: int = 0, meet_target: int = -1,
+                 found: set[int] | None = None) -> int:
+    """The injective maps of h into g, counted from each copy's lowest vertex.
+
+    The anchored plan of every orbit representative p pins p to each host
+    vertex u in turn and confines the other images to vertices above u
+    (`_inject`'s `lowest` mode).  A copy whose lowest vertex u is the image
+    of a vertex in p's orbit O is found |Aut(h)|/|O| times by p's plan and
+    never by another, so weighting each plan's count by |O| gives |Aut(h)|
+    per copy, the all-maps count.  The other arguments are `_inject`'s; with
+    `limit` the walk stops once the weighted count reaches it."""
+    sizes = _orbit_sizes(h)
+    total = 0
+    for plan in _anchored_plans(h, induced):
+        total += sizes[plan[0][0]] * _inject(g, plan, limit, meet_mask, meet_target,
+                                             found=found, lowest=True)
+        if limit is not None and total >= limit:
+            break
+    return total
 
 
 def count_injections(g: Graph, h: Graph) -> int:
@@ -185,7 +221,7 @@ def _inject(g: Graph, plan: _Plan, limit: int | None = None,
             meet_mask: int = 0, meet_target: int = -1,
             anchor: int | None = None, found: set[int] | None = None,
             attach: dict[tuple[int, int], int] | None = None,
-            tail: tuple[int, int] | None = None) -> int:
+            tail: tuple[int, int] | None = None, lowest: bool = False) -> int:
     """Backtracking count of the injective maps of a pattern into g that
     follow its `_pattern_plan`: edge-preserving, and for an induced plan
     non-edge-preserving too.
@@ -195,12 +231,16 @@ def _inject(g: Graph, plan: _Plan, limit: int | None = None,
     the unused vertices (`_tail_maps`) rather than 1; only the plain count
     and the meeting count take it, since the other modes below need every
     image (and an induced plan's isolated vertices are not free to go
-    anywhere unused).
+    anywhere unused).  With neither `anchor` nor `lowest` the walk visits
+    every map, as `count_injections` needs.
 
     With `limit` set the search stops as soon as that many maps are found.
     With `meet_target >= 0` only maps whose image meets `meet_mask` in exactly
     that many vertices are counted.  With `anchor` set the plan's first
-    pattern vertex is pinned to that host vertex.  With `found` set, the
+    pattern vertex is pinned to that host vertex.  With `lowest` set it is
+    pinned to every host vertex u in turn, and the other pattern vertices go
+    only to vertices above u: the maps whose image has its least vertex
+    there (`_lowest_maps` weights them by orbit).  With `found` set, the
     vertex set (a bitmask) of every counted map's image is added to it.
     With `attach` set (and `anchor`), every counted map is tallied in it
     under the pair (attach set, body): the attach set is the image of the
@@ -210,7 +250,7 @@ def _inject(g: Graph, plan: _Plan, limit: int | None = None,
     _, backs, nons = plan
     gadj = g.adj
     hn = len(backs)
-    full = (1 << g.n) - 1
+    full = avail = (1 << g.n) - 1
     images = [0] * hn
     near = () if attach is None else [i for i, back in enumerate(backs) if 0 in back]
     size = hn if tail is None else hn + 2 * tail[0] + tail[1]
@@ -239,7 +279,7 @@ def _inject(g: Graph, plan: _Plan, limit: int | None = None,
             met = (used & meet_mask).bit_count()
             if met > meet_target or met + (size - depth) < meet_target:
                 return False
-        cand = full & ~used
+        cand = avail & ~used
         for b in backs[depth]:
             cand &= gadj[images[b]]
             if not cand:
@@ -255,11 +295,17 @@ def _inject(g: Graph, plan: _Plan, limit: int | None = None,
                 return True
         return False
 
-    if anchor is None:
-        rec(0, 0)
-    else:
+    if anchor is not None:
         images[0] = anchor
         rec(1, 1 << anchor)
+    elif lowest:
+        for u in range(g.n - hn + 1):
+            images[0] = u
+            avail = full & ~((2 << u) - 1)
+            if rec(1, 1 << u):
+                break
+    else:
+        rec(0, 0)
     return count
 
 
@@ -276,7 +322,8 @@ def count_copies(g: Graph, h: Graph) -> int:
     """Number of subgraphs of g isomorphic to h."""
     if h.n < 1:
         raise ValueError("pattern needs at least one vertex")
-    return _per_copy(count_injections(g, h), h)
+    _, tail = _tail_plan(h)
+    return _per_copy(_lowest_maps(g, h) if tail is None else count_injections(g, h), h)
 
 
 def attachment_table(host: Graph, terms) -> dict[int, int]:
@@ -333,7 +380,10 @@ def count_copies_meeting(g: Graph, h: Graph, meet: int, exactly: int) -> int:
     if h.n > g.n:
         return 0
     head, tail = _tail_plan(h)
-    total = _inject(g, head, meet_mask=meet, meet_target=exactly, tail=tail)
+    if tail is None:
+        total = _lowest_maps(g, h, meet_mask=meet, meet_target=exactly)
+    else:
+        total = _inject(g, head, meet_mask=meet, meet_target=exactly, tail=tail)
     return _per_copy(total, h)
 
 
@@ -343,7 +393,7 @@ def contains(g: Graph, f: Graph) -> bool:
         return False
     if f.n == 0:
         return True
-    return _inject(g, _pattern_plan(f), limit=1) > 0
+    return _lowest_maps(g, f, limit=1) > 0
 
 
 def is_free(g: Graph, f: Graph) -> bool:
@@ -360,7 +410,7 @@ def count_induced_copies(g: Graph, h: Graph) -> int:
         raise ValueError("pattern needs at least one vertex")
     if h.n > g.n:
         return 0
-    return _per_copy(_inject(g, _pattern_plan(h, induced=True)), h)
+    return _per_copy(_lowest_maps(g, h, induced=True), h)
 
 
 def induced_family(h: Graph) -> list[Graph]:

@@ -5,7 +5,9 @@ Turan graph T_r(n) and the edgeless graph; combinators are join, disjoint
 union, k-fold copies and single-vertex deletion.  `GraphSpec.build` evaluates
 a spec with the `graphs` constructors, which check every size and parameter;
 a value they refuse is a SpecError naming the expression.  The parser refuses
-an expression nesting more than MAX_DEPTH combinators deep.
+an expression nesting more than MAX_DEPTH combinators deep.  Error messages
+quote the offending text through `quote`, which keeps only its first
+QUOTE_LIMIT characters.
 
 Text forms accepted by the CLI:
 
@@ -26,6 +28,19 @@ class SpecError(ValueError):
     pass
 
 
+# The most characters of an argument an error message quotes: a refused
+# expression can be thousands of characters long.
+QUOTE_LIMIT = 60
+
+
+def quote(text: str) -> str:
+    """`text` quoted for an error message: its repr, cut to the first
+    QUOTE_LIMIT characters and followed by its length when longer."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 class GraphSpec:
     """Base class for graph expressions."""
 
@@ -35,7 +50,7 @@ class GraphSpec:
         try:
             return self._build()
         except ValueError as err:
-            raise SpecError(f"{self}: {err}") from err
+            raise SpecError(f"{quote(str(self))}: {err}") from err
 
     def _build(self) -> Graph:
         raise NotImplementedError
@@ -163,7 +178,17 @@ _TOKEN = re.compile(
 )
 
 
+# The most digits a number may have.  Every size above 64 is refused anyway,
+# and the refusal would quote a longer number whole.
+MAX_DIGITS = 18
+_LONG_NUMBER = re.compile(rf"\d{{{MAX_DIGITS + 1},}}")
+
+
 def _tokenize(text: str) -> list[tuple[str, object]]:
+    long = _LONG_NUMBER.search(text)
+    if long:
+        raise SpecError(f"number of more than {MAX_DIGITS} digits at "
+                        f"{quote(text[long.start():])}")
     tokens: list[tuple[str, object]] = []
     pos = 0
     while pos < len(text):
@@ -172,7 +197,7 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
             rest = text[pos:].strip()
             if not rest:
                 break
-            raise SpecError(f"cannot parse graph spec at {rest!r}")
+            raise SpecError(f"cannot parse graph spec at {quote(rest)}")
         pos = m.end()
         if m.lastgroup == "kab":
             tokens.append(("kab", (int(m.group(2)), int(m.group(3)))))
@@ -209,14 +234,15 @@ class _Parser:
     def next(self) -> tuple[str, object]:
         tok = self.peek()
         if tok is None:
-            raise SpecError(f"unexpected end of spec in {self.text!r}")
+            raise SpecError(f"unexpected end of spec in {quote(self.text)}")
         self.pos += 1
         return tok
 
     def expect(self, kind: str) -> object:
         tok = self.next()
         if tok[0] != kind:
-            raise SpecError(f"expected {kind!r}, got {tok[1]!r} in {self.text!r}")
+            raise SpecError(f"expected {kind!r}, got {quote(str(tok[1]))} "
+                            f"in {quote(self.text)}")
         return tok[1]
 
     def parse_spec(self, depth: int = 0) -> GraphSpec:
@@ -226,7 +252,7 @@ class _Parser:
                             f"combinators deep")
         tok = self.peek()
         if tok is None:
-            raise SpecError(f"empty graph spec in {self.text!r}")
+            raise SpecError(f"empty graph spec in {quote(self.text)}")
         if tok[0] == "int":
             k = int(self.next()[1])  # type: ignore[arg-type]
             self.expect("*")
@@ -263,7 +289,7 @@ class _Parser:
             if value == "join":
                 return Join(left, right)
             return DisjointUnion(left, right)
-        raise SpecError(f"unexpected token {value!r} in {self.text!r}")
+        raise SpecError(f"unexpected token {quote(str(value))} in {quote(self.text)}")
 
 
 def parse_spec(text: str) -> GraphSpec:
@@ -272,7 +298,7 @@ def parse_spec(text: str) -> GraphSpec:
     spec = parser.parse_spec()
     tok = parser.peek()
     if tok is not None:
-        raise SpecError(f"trailing input {tok[1]!r} in {text!r}")
+        raise SpecError(f"trailing input {quote(str(tok[1]))} in {quote(text)}")
     return spec
 
 
@@ -285,7 +311,7 @@ def parse_spec_list(text: str) -> list[GraphSpec]:
     specs = [parser.parse_spec()]
     while parser.peek() is not None:
         if parser.peek()[0] != ",":  # type: ignore[index]
-            raise SpecError(f"expected ',' between specs in {text!r}")
+            raise SpecError(f"expected ',' between specs in {quote(text)}")
         parser.next()
         specs.append(parser.parse_spec())
     return specs

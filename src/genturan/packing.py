@@ -4,7 +4,8 @@ A packing of a pattern F in a host G is a family of pairwise vertex-disjoint
 vertex sets, each spanning a copy of F.  The exact maximum is found by branch
 and bound over the hypergraph of copy vertex sets, seeded with a greedy lower
 bound.  The copy vertex sets come from the counting module's embedder,
-`counting._inject`, which collects the image of every map.  The partition
+which collects the image of every copy, reached only through the orbit that
+holds the copy's lowest vertex (`counting._lowest_maps`).  The partition
 built from a maximum packing puts the packed vertices on one side (L) and the
 rest (R); the R-induced subgraph is always F-free, which is checked.  The
 enumerator's freeness test lives here too, since it packs component copies.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .graphs import (Graph, VerificationError, _bits, add_vertex, canonical_cert,
                      component_masks)
-from .counting import _anchored_plans, _inject, _pattern_plan, is_free
+from .counting import _anchored_plans, _inject, _lowest_maps, is_free
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,16 @@ class CanonicalPartition:
 
 
 def copy_vertex_sets(g: Graph, f: Graph) -> list[int]:
-    """Distinct vertex sets (as bitmasks, ascending) spanning a copy of f in g."""
+    """Distinct vertex sets (as bitmasks, ascending) spanning a copy of f in g.
+
+    The embedder reaches each copy only through the orbit that holds its
+    lowest vertex: |Aut(f)|/|orbit| times rather than |Aut(f)| times."""
     if f.n < 1:
         raise ValueError("pattern needs at least one vertex")
     if f.n > g.n:
         return []
     found: set[int] = set()
-    _inject(g, _pattern_plan(f), found=found)
+    _lowest_maps(g, f, found=found)
     return sorted(found)
 
 

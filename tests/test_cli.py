@@ -283,6 +283,27 @@ def test_deeply_nested_spec_usage_error(capsys, shape):
     assert (code, out) == (0, "1\n" if shape == "copies" else "0\n")
 
 
+# Refused graph arguments thousands of characters long, and the text their
+# message must still name: the nesting limit, the token that does not parse,
+# and the over-long number.
+LONG_BAD_SPECS = {
+    "nested": (nested_specs(DEEP_NESTING["copies"])["copies"], "nests more than"),
+    "token": ("join(K2," + "Q" * 2992, "cannot parse graph spec at 'QQQ"),
+    "number": ("9" * 5000 + "*K1", "more than 18 digits at '999"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_BAD_SPECS))
+def test_long_bad_spec_message_is_bounded(capsys, name):
+    spec, names = LONG_BAD_SPECS[name]
+    assert len(spec) >= 3000
+    for argv in (["count", "--host", spec, "--pattern", "K1"],
+                 ["verify", "thm2.4", "--n-range", "7..7", "--param", f"f={spec}"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert names in err and len(err.encode()) < 300, err
+
+
 def test_bad_range_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "prop6.1", "--n-range", "x..y")
     assert code == 2

@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genturan.constructions import turan_clique_count
-from genturan.counting import (contains, count_copies, count_copies_meeting,
+from genturan.constructions import thm35_lower, turan_clique_count
+from genturan.counting import (_inject, _lowest_maps, _pattern_plan, contains,
+                               count_copies, count_copies_meeting,
                                count_induced_copies, count_induced_family,
                                count_injections, induced_family,
                                is_family_free, is_free)
 from genturan.graphs import (automorphism_count, complete, complete_bipartite,
                              copies, cycle, disjoint_union, empty_graph,
-                             from_edges, turan)
+                             from_edges, join, turan)
+from genturan.packing import copy_vertex_sets
 
 from conftest import naive_count_copies, naive_count_induced, random_graph
 
@@ -122,12 +126,59 @@ def test_meet_set_members_must_be_host_vertices():
 
 
 @pytest.mark.parametrize("pattern", [complete(3), cycle(4), P3,
-                                     copies(2, complete(2))])
+                                     copies(2, complete(2)), complete(4), cycle(5),
+                                     complete_bipartite(2, 3), P4,
+                                     copies(2, complete(3))])
 def test_count_induced_vs_naive_oracle(pattern):
     rng = random.Random(pattern.edge_count() * 7 + pattern.n)
     for _ in range(10):
         g = random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.6]))
         assert count_induced_copies(g, pattern) == naive_count_induced(g, pattern)
+
+
+@lru_cache(maxsize=1)
+def _large_hosts():
+    """Hosts past the naive oracles' reach: G(n, 2n) for n = 16..30 and four
+    symmetric hosts."""
+    rng = random.Random(43)
+    hosts = [from_edges(n, rng.sample(list(combinations(range(n), 2)), 2 * n))
+             for n in range(16, 31)]
+    return hosts + [turan(20, 4), thm35_lower(20, 3, 2), copies(8, cycle(5)),
+                    join(K2, turan(12, 3))]
+
+
+BULL = from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
+
+
+LARGE_HOST_PATTERNS = {
+    "K3": complete(3), "K4": complete(4), "C4": cycle(4), "C5": cycle(5),
+    "K2,3": complete_bipartite(2, 3), "P3": P3, "P4": P4,
+    "K1,3": complete_bipartite(1, 3), "2K3": copies(2, complete(3)), "bull": BULL,
+}
+
+
+@pytest.mark.parametrize("pattern", LARGE_HOST_PATTERNS.values(), ids=LARGE_HOST_PATTERNS)
+def test_lowest_vertex_walk_vs_all_maps(pattern):
+    # Every mode that walks the anchored plans from each copy's lowest
+    # vertex, against the all-maps walk of the pattern's unanchored plan.
+    # The bull's automorphism group is trivial; 2K3 has no closed-form tail.
+    plan = _pattern_plan(pattern)
+    aut = automorphism_count(pattern)
+    rng = random.Random(pattern.n * 64 + pattern.edge_count())
+    for g in _large_hosts():
+        found: set[int] = set()
+        maps = _inject(g, plan, found=found)
+        assert maps % aut == 0
+        assert _lowest_maps(g, pattern) == maps
+        assert count_copies(g, pattern) == maps // aut
+        assert copy_vertex_sets(g, pattern) == sorted(found)
+        assert contains(g, pattern) == (maps > 0)
+        meet = rng.getrandbits(g.n)
+        for exactly in range(pattern.n + 1):
+            want = _inject(g, plan, meet_mask=meet, meet_target=exactly)
+            assert count_copies_meeting(g, pattern, meet, exactly) * aut == want
+        induced = _inject(g, _pattern_plan(pattern, induced=True))
+        assert count_induced_copies(g, pattern) * aut == induced
 
 
 @settings(max_examples=40, deadline=None)

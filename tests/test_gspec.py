@@ -151,6 +151,24 @@ def test_nesting_depth_is_capped(shape):
                 parse(text)
 
 
+def test_error_messages_quote_a_bounded_prefix():
+    # Every refusal of a long argument quotes at most QUOTE_LIMIT of its
+    # characters, and still names what it refuses.
+    long_union = "union(K1, " * 70 + "K1" + ")" * 70  # 71 copies of K1
+    cases = [(lambda: parse_spec("join(K2," + "Q" * 2992), "at 'QQQ"),
+             (lambda: parse_spec_list("K3," + "Q" * 2997), "at 'QQQ"),
+             (lambda: parse_spec("K3 " + "K4 " * 1000), "trailing input"),
+             (lambda: parse_spec("join(" * 90 + "K1"), "unexpected end of spec"),
+             (lambda: parse_spec("9" * 5000 + "*K1"), "more than 18 digits at '999"),
+             (lambda: parse_spec(long_union).build(), "> 64 vertices")]
+    for call, names in cases:
+        with pytest.raises(SpecError) as err:
+            call()
+        message = str(err.value)
+        assert names in message and len(message) < 3 * gspec.QUOTE_LIMIT, message
+    assert gspec.quote("K3") == "'K3'"
+
+
 def _leaf_strategy():
     return st.one_of(
         st.integers(0, 8).map(Complete),
